@@ -252,8 +252,8 @@ fn main() {
     // `e13_scale` run emit byte-compatible JSON (the comparator reads
     // the shared `wall_ms_per_cell_run` key from either).
     let quick = tg_experiments::Options { quiet: true, ..Default::default() };
-    let results = e13_scale::measure(&e13_scale::rungs(&quick), quick.seed);
-    let best = e13_scale::record_rung(&results).expect("the quick ladder has arena rungs");
+    let results = e13_scale::measure(&e13_scale::rungs(&quick), quick.seed, false);
+    let best = e13_scale::record_rung(&results).expect("the quick ladder is non-empty");
     let json = e13_scale::kernel_record_json("quick", best, now_unix());
     let path = std::path::Path::new(&out_dir).join("BENCH_kernel.json");
     std::fs::write(&path, &json).unwrap_or_else(|e| {
@@ -261,9 +261,8 @@ fn main() {
         std::process::exit(1);
     });
     println!(
-        "{}: {} kernel, {} identities x {} epochs, {:.1} ms ({:.0} ids/sec)",
+        "{}: {} identities x {} epochs, {:.1} ms ({:.0} ids/sec)",
         path.display(),
-        best.rung.kernel.label(),
         best.rung.n_total(),
         best.rung.epochs,
         best.wall_ms,

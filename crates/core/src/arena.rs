@@ -1,14 +1,9 @@
-//! The arena epoch kernel: flat SoA group storage for million-identity
-//! epochs.
+//! The §III epoch kernel: [`DynamicSystem`] runs churn → build →
+//! measure → swap on flat SoA group storage, sized for
+//! million-identity epochs.
 //!
-//! The legacy kernel ([`crate::dynamic::DynamicSystem`]) stores each
-//! group as its own [`crate::group::Group`] with a heap-allocated member
-//! `Vec` — `n` allocations per side per epoch, pointer-chasing on every
-//! majority scan. At paper scale (`n ≈ 10³–10⁴`) that is irrelevant; at
-//! `n = 10⁶` it dominates the epoch wall clock.
-//!
-//! This module replaces the per-group storage with one contiguous arena
-//! per side:
+//! Each side's groups live in one contiguous arena instead of one
+//! heap-allocated member `Vec` per group:
 //!
 //! ```text
 //!              group 0      group 1    group 2
@@ -26,26 +21,23 @@
 //! range scan instead of a `Vec` dereference. The leader/pool populations
 //! and the topology are shared per epoch rather than cloned per side.
 //!
-//! **Determinism contract.** [`ArenaSystem::advance_epoch`] consumes the
-//! exact RNG streams of the legacy kernel, draw for draw:
+//! **Determinism contract.** [`DynamicSystem::advance_epoch`] draws its
+//! labelled RNG streams in a fixed order, so an epoch is a pure function
+//! of the seed for any thread count (the committed seed-42 goldens pin
+//! the exact draw order):
 //!
 //! * membership bootstrap picks are unconditional per slot and precede
-//!   each leader's link-phase draws (the legacy order), so they are
-//!   pre-drawn into a flat column in pass 1;
+//!   each leader's link-phase draws, so they are pre-drawn into a flat
+//!   column in pass 1;
 //! * construction searches consume no randomness, so pass 2 fans the
 //!   whole slot column out over [`tg_sim::parallel_map`] blocks and folds
 //!   the per-slot outcomes back in slot order — [`tg_sim::Metrics`] and
 //!   [`BuildStats`] are additive sums, so totals are exact for any
 //!   thread count;
 //! * link-phase draws are conditional on link-search outcomes, so the
-//!   link loop stays inline in pass 1, byte-compatible with the legacy
-//!   loop;
+//!   link loop stays inline in pass 1;
 //! * measurement pre-draws its `(initiator, key)` sample and uses the
 //!   chunked fan-out of [`crate::robustness::measure_robustness_chunked`].
-//!
-//! The conformance suite replays identical scenarios through both kernels
-//! and asserts identical observation streams; the committed seed-42
-//! goldens replay byte-identically through this kernel.
 
 use crate::dynamic::adversary::AdversaryView;
 use crate::dynamic::build::{construction_search, pick_boot, BuildMode, BuildStats};
@@ -105,8 +97,8 @@ impl ArenaSide {
 pub struct ArenaGraphs {
     /// The current generation: leaders / vertices of the graphs.
     pub leaders: Population,
-    /// The member pool (previous generation). One physical population —
-    /// the sides share it, unlike the legacy kernel's per-side clones.
+    /// The member pool (previous generation). One physical population
+    /// that every side shares.
     pub pool: Population,
     /// The input-graph topology `H` over the leader ring. A pure function
     /// of the ring, so one instance serves every side.
@@ -116,6 +108,61 @@ pub struct ArenaGraphs {
 }
 
 impl ArenaGraphs {
+    /// The trusted-bootstrap graphs over one population (`G⁰₁, G⁰₂`; the
+    /// paper's Appendix X initialization assumption): group `w` is `w`
+    /// itself plus the successors of its `draws` membership points.
+    /// `capacity` pre-sizes each member column.
+    pub(crate) fn initial(
+        pop: Population,
+        kind: GraphKind,
+        fam: &OracleFamily,
+        mode: BuildMode,
+        params: &Params,
+        capacity: Option<usize>,
+    ) -> ArenaGraphs {
+        let n = pop.len();
+        let draws = params.draws(n);
+        let cap = capacity.unwrap_or(n * (draws + 1));
+        let topology = kind.build(pop.ring().clone());
+        let sides: Vec<ArenaSide> = (0..mode.sides())
+            .map(|s| {
+                let oracle = fam.membership(if mode == BuildMode::SingleGraph { 0 } else { s });
+                let mut offsets: Vec<u32> = Vec::with_capacity(n + 1);
+                let mut members: Vec<u32> = Vec::with_capacity(cap);
+                offsets.push(0);
+                let mut buf: Vec<u32> = Vec::with_capacity(draws + 1);
+                for w in 0..n {
+                    let wid = pop.ring().at(w);
+                    buf.clear();
+                    buf.push(w as u32);
+                    for i in 0..draws {
+                        let point = oracle.hash_id_index(wid, i as u32);
+                        buf.push(pop.ring().successor_index(point) as u32);
+                    }
+                    buf.sort_unstable();
+                    buf.dedup();
+                    members.extend_from_slice(&buf);
+                    offsets.push(members.len() as u32);
+                }
+                ArenaSide {
+                    offsets,
+                    members,
+                    captured: vec![0; n],
+                    confused: vec![false; n],
+                    colors: Vec::new(),
+                }
+            })
+            .collect();
+        let mut graphs = ArenaGraphs { leaders: pop.clone(), pool: pop, topology, sides };
+        graphs.recolor();
+        graphs
+    }
+
+    /// The view strategies and drivers observe.
+    pub fn view(&self) -> GraphsView<'_> {
+        GraphsView(Some(self))
+    }
+
     /// Number of sides (2 dual, 1 single-graph ablation).
     pub fn sides(&self) -> usize {
         self.sides.len()
@@ -225,15 +272,16 @@ enum SlotOut {
     Rejected,
 }
 
-/// The arena epoch system: the same churn → build → measure → swap loop
-/// as [`crate::dynamic::DynamicSystem`], on SoA storage with the
-/// membership and measurement phases fanned out deterministically.
-pub struct ArenaSystem {
+/// The dynamic system: a pair of operational group graphs that re-derive
+/// themselves every epoch through the old pair, with the membership and
+/// measurement phases fanned out deterministically.
+pub struct DynamicSystem {
     /// Construction constants.
     pub params: Params,
     /// Input-graph topology family.
     pub kind: GraphKind,
-    /// Oracle family (fixed at initialization).
+    /// Oracle family (fixed at system initialization — the hash functions
+    /// ship with the software, §III footnote 12).
     pub fam: OracleFamily,
     /// Dual-graph (paper) or single-graph (ablation) construction.
     pub mode: BuildMode,
@@ -244,14 +292,15 @@ pub struct ArenaSystem {
     /// Searches sampled per epoch for the robustness report.
     pub searches_per_epoch: usize,
     master_seed: u64,
-    /// Member-column capacity hint (pre-sizes the arena allocation; the
-    /// scenario layer surfaces this as the `cap` knob).
-    capacity: Option<usize>,
+    /// Member-column capacity hint for each epoch's build (pre-sizes
+    /// the arena allocation; the scenario layer surfaces this as the
+    /// `cap` knob). Shapes allocation only, never results.
+    pub capacity: Option<usize>,
 }
 
-impl ArenaSystem {
-    /// Initialize at epoch 1 with trusted-bootstrap graphs. Consumes the
-    /// same `"init"` RNG stream as the legacy kernel.
+impl DynamicSystem {
+    /// Initialize at epoch 1 with trusted-bootstrap graphs (`G⁰₁, G⁰₂`;
+    /// the paper's Appendix X initialization assumption).
     pub fn new(
         params: Params,
         kind: GraphKind,
@@ -264,44 +313,8 @@ impl ArenaSystem {
         let mut rng = stream_rng(master_seed, "init", 0);
         let ids = provider.ids_for_epoch(0, &AdversaryView::genesis(0), &mut rng);
         let pop = Population::new(ids.good, ids.bad);
-        let n = pop.len();
-        let draws = params.draws(n);
-        let cap = capacity.unwrap_or(n * (draws + 1));
-
-        let topology = kind.build(pop.ring().clone());
-        let sides: Vec<ArenaSide> = (0..mode.sides())
-            .map(|s| {
-                let oracle = fam.membership(if mode == BuildMode::SingleGraph { 0 } else { s });
-                let mut offsets: Vec<u32> = Vec::with_capacity(n + 1);
-                let mut members: Vec<u32> = Vec::with_capacity(cap);
-                offsets.push(0);
-                let mut buf: Vec<u32> = Vec::with_capacity(draws + 1);
-                for w in 0..n {
-                    let wid = pop.ring().at(w);
-                    buf.clear();
-                    buf.push(w as u32);
-                    for i in 0..draws {
-                        let point = oracle.hash_id_index(wid, i as u32);
-                        buf.push(pop.ring().successor_index(point) as u32);
-                    }
-                    buf.sort_unstable();
-                    buf.dedup();
-                    members.extend_from_slice(&buf);
-                    offsets.push(members.len() as u32);
-                }
-                ArenaSide {
-                    offsets,
-                    members,
-                    captured: vec![0; n],
-                    confused: vec![false; n],
-                    colors: Vec::new(),
-                }
-            })
-            .collect();
-
-        let mut graphs = ArenaGraphs { leaders: pop.clone(), pool: pop, topology, sides };
-        graphs.recolor();
-        ArenaSystem {
+        let graphs = ArenaGraphs::initial(pop, kind, &fam, mode, &params, capacity);
+        DynamicSystem {
             params,
             kind,
             fam,
@@ -314,16 +327,25 @@ impl ArenaSystem {
         }
     }
 
-    /// Run one epoch: churn, build, measure, swap — bit-identical to
-    /// [`crate::dynamic::DynamicSystem::advance_epoch`] for the same
-    /// seed, regardless of thread count.
+    /// Run one epoch: intra-epoch churn on the serving pool, construction
+    /// of the next pair through the current one, measurement, swap —
+    /// bit-identical for the same seed, regardless of thread count.
+    ///
+    /// The dynamic layer itself has no notion of epoch strings — they
+    /// belong to §IV's minting pipeline, so the [`AdversaryView`] handed
+    /// to the provider carries `epoch_string: None`. A composed system
+    /// (e.g. `tg-pow::FullSystem`) that agrees on a string *before*
+    /// minting injects it at the provider layer instead: wrap the
+    /// strategic provider in [`crate::dynamic::WithEpochString`] and the
+    /// view its inner provider observes carries the string in force.
     pub fn advance_epoch(&mut self, provider: &mut dyn IdentityProvider) -> EpochReport {
         let mut rng = stream_rng(self.master_seed, "epoch", self.epoch);
         let mut metrics = Metrics::new();
 
-        // 1. Intra-epoch churn. One shared pool: departing it directly
-        //    consumes the same "churn"-stream draws and produces the same
-        //    departed set as the legacy scratch-clone detection.
+        // 1. Intra-epoch churn: a fraction of the good *member pool*
+        //    departs while the graphs serve (§III model; bad IDs stay —
+        //    the adversary's worst case). One shared pool, so every side
+        //    loses the same IDs.
         if self.params.churn_rate > 0.0 {
             let mut pick_rng = stream_rng(self.master_seed, "churn", self.epoch);
             self.graphs.pool.depart_good_fraction(self.params.churn_rate, &mut pick_rng);
@@ -331,11 +353,8 @@ impl ArenaSystem {
         }
 
         // 2. Mint the next generation through the (churned) current one.
-        let view = AdversaryView {
-            epoch: self.epoch + 1,
-            graphs: GraphsView::Arena(&self.graphs),
-            epoch_string: None,
-        };
+        let view =
+            AdversaryView { epoch: self.epoch + 1, graphs: self.graphs.view(), epoch_string: None };
         let ids = provider.ids_for_epoch(self.epoch + 1, &view, &mut rng);
         let new_pop = Population::new(ids.good, ids.bad);
         let (news, build) = build_new_arena(
@@ -350,8 +369,8 @@ impl ArenaSystem {
             &mut metrics,
         );
 
-        // 3. Measure the fresh graphs on the legacy measurement streams,
-        //    fanned out in deterministic chunks.
+        // 3. Measure the fresh graphs (they serve epoch + 1), fanned out
+        //    in deterministic chunks.
         let mut meas_rng = stream_rng(self.master_seed, "measure", self.epoch);
         let side0 = news.side(0);
         let single = measure_robustness_chunked(
@@ -369,7 +388,8 @@ impl ArenaSystem {
             single.search_success
         };
 
-        // 4. Membership-state accounting over the member columns.
+        // 4. Membership-state accounting (Lemma 10): how many groups does
+        //    each good pool ID serve in, across all sides?
         let pool_len = news.pool.len();
         let mut memberships = vec![0usize; pool_len];
         for side in &news.sides {
@@ -401,7 +421,7 @@ impl ArenaSystem {
             metrics,
         };
 
-        // 5. Swap.
+        // 5. Swap: the new pair becomes operational.
         self.graphs = news;
         self.epoch += 1;
         report
@@ -413,11 +433,14 @@ impl ArenaSystem {
     }
 }
 
-/// Build the next epoch's arena graphs through the old ones — the arena
-/// counterpart of [`crate::dynamic::build::build_new_graphs`], split into a
+/// Build the next epoch's graphs through the old ones (the §III-A
+/// protocol described in [`crate::dynamic::build`]), split into a
 /// sequential RNG pass and a parallel search pass (see the module docs).
+///
+/// `olds` are the operational graphs of the current epoch; their
+/// *leader* generation becomes the member pool of the new graphs.
 #[allow(clippy::too_many_arguments)] // the protocol's full parameter surface
-fn build_new_arena(
+pub(crate) fn build_new_arena(
     olds: &ArenaGraphs,
     new_leaders: &Population,
     kind: GraphKind,
@@ -448,7 +471,7 @@ fn build_new_arena(
             BuildMode::SingleGraph => fam.h1,
         };
 
-        // --- Pass 1 (sequential): every RNG draw, in the legacy order.
+        // --- Pass 1 (sequential): every RNG draw, in protocol order.
         // Per leader: the slot bootstrap picks (unconditional — searches
         // draw nothing, so they can be deferred), then the link phase
         // inline (its draw count depends on link-search outcomes).
@@ -577,9 +600,10 @@ fn build_new_arena(
         sides.push(ArenaSide { offsets, members, captured, confused, colors: Vec::new() });
     }
 
-    // --- The Lemma 10 state attack, fanned out the same way: the fake
-    // points are pre-drawn in the legacy order, the verification searches
-    // draw nothing.
+    // --- The Lemma 10 state attack, fanned out the same way: the
+    // adversary sends fake "you are suc(h(w,i))" requests to good pool
+    // IDs, which accept only if all their verification searches fail.
+    // The fake points are pre-drawn in order; the searches draw nothing.
     let good_pool = pool.good_indices();
     if params.attack_requests_per_id > 0 && !good_pool.is_empty() {
         let mut tasks: Vec<(u32, Id)> =
@@ -608,88 +632,4 @@ fn build_new_arena(
     let mut graphs = ArenaGraphs { leaders: new_leaders.clone(), pool, topology, sides };
     graphs.recolor();
     (graphs, stats)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::dynamic::provider::UniformProvider;
-    use crate::dynamic::DynamicSystem;
-
-    fn paired(mode: BuildMode, seed: u64) -> (DynamicSystem, ArenaSystem, UniformProvider) {
-        let mut params = Params::paper_defaults();
-        params.attack_requests_per_id = 1;
-        params.churn_rate = 0.1;
-        let mut pa = UniformProvider { n_good: 380, n_bad: 20 };
-        let legacy = DynamicSystem::new(params, GraphKind::D2B, mode, &mut pa, seed);
-        let arena = ArenaSystem::new(params, GraphKind::D2B, mode, &mut pa, seed, None);
-        (legacy, arena, pa)
-    }
-
-    fn assert_reports_identical(a: &EpochReport, b: &EpochReport) {
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
-    }
-
-    #[test]
-    fn initial_graphs_match_legacy() {
-        let (legacy, arena, _) = paired(BuildMode::DualGraph, 1);
-        for s in 0..2 {
-            let l = &legacy.graphs[s];
-            let v = arena.graphs.side(s);
-            assert_eq!(GroupGraphView::len(l), v.len());
-            for i in 0..v.len() {
-                assert_eq!(l.group_size(i), v.group_size(i), "side {s} group {i} size");
-                assert_eq!(
-                    GroupGraphView::group_bad_count(l, i),
-                    v.group_bad_count(i),
-                    "side {s} group {i} bad"
-                );
-                assert_eq!(l.is_red(i), v.is_red(i), "side {s} group {i} color");
-                assert_eq!(
-                    &l.groups[i].members[..],
-                    arena.graphs.sides[s].group_members(i),
-                    "side {s} group {i} members"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn epochs_match_legacy_exactly() {
-        let (mut legacy, mut arena, mut provider) = paired(BuildMode::DualGraph, 7);
-        for _ in 0..3 {
-            let rl = legacy.advance_epoch(&mut provider);
-            let ra = arena.advance_epoch(&mut provider);
-            assert_reports_identical(&rl, &ra);
-        }
-    }
-
-    #[test]
-    fn single_graph_mode_matches_legacy() {
-        let (mut legacy, mut arena, mut provider) = paired(BuildMode::SingleGraph, 4);
-        let rl = legacy.advance_epoch(&mut provider);
-        let ra = arena.advance_epoch(&mut provider);
-        assert_reports_identical(&rl, &ra);
-    }
-
-    #[test]
-    fn zero_churn_zero_attack_matches_legacy() {
-        let mut params = Params::paper_defaults();
-        params.attack_requests_per_id = 0;
-        params.churn_rate = 0.0;
-        let mut provider = UniformProvider { n_good: 300, n_bad: 15 };
-        let mut legacy =
-            DynamicSystem::new(params, GraphKind::Chord, BuildMode::DualGraph, &mut provider, 9);
-        let mut arena = ArenaSystem::new(
-            params,
-            GraphKind::Chord,
-            BuildMode::DualGraph,
-            &mut provider,
-            9,
-            Some(1 << 16),
-        );
-        let rl = legacy.advance_epoch(&mut provider);
-        let ra = arena.advance_epoch(&mut provider);
-        assert_reports_identical(&rl, &ra);
-    }
 }

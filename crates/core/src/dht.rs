@@ -21,7 +21,7 @@ use tg_idspace::Id;
 use tg_sim::Metrics;
 
 /// A replicated store over one group graph (any layout implementing
-/// [`GroupGraphView`] — legacy per-group storage or an arena side).
+/// [`GroupGraphView`] — per-group storage or an arena side).
 pub struct SecureDht<'g, G: GroupGraphView> {
     gg: &'g G,
     /// Replicas: `(pool member index, key) → value`. Only good members

@@ -47,9 +47,7 @@ pub struct AdversaryView<'a> {
     /// The epoch whose IDs are being placed.
     pub epoch: u64,
     /// The previous epoch's operational graphs (what a state-observing
-    /// adversary has watched serve traffic), behind the layout-agnostic
-    /// [`GraphsView`] so strategies observe the legacy and arena kernels
-    /// identically. Empty at initialization.
+    /// adversary has watched serve traffic). Empty at initialization.
     pub graphs: GraphsView<'a>,
     /// The current epoch string when identities are minted through PoW
     /// (`None` on the no-PoW pipeline — there is nothing to grind).
@@ -538,9 +536,9 @@ mod tests {
             BuildMode::DualGraph,
             &mut provider,
             5,
+            None,
         );
-        let view =
-            AdversaryView { epoch: 1, graphs: GraphsView::Legacy(&sys.graphs), epoch_string: None };
+        let view = AdversaryView { epoch: 1, graphs: sys.graphs.view(), epoch_string: None };
         let mut s = AdaptiveMajorityFlipper { margin: 0 };
         assert_eq!(s.near_tied(&view), 0, "clean groups are not near-tied at margin 0");
         let (good, mut rng) = census(400, 7);
@@ -560,25 +558,23 @@ mod tests {
             BuildMode::DualGraph,
             &mut provider,
             seed,
+            None,
         );
-        for g in sys.graphs.iter_mut() {
-            let good = g.pool.good_indices();
-            let departing = (good.len() as f64 * frac).round() as usize;
-            // Deterministic pick is fine here: which IDs leave does not
-            // matter to the observation, only how many.
-            for &i in good.iter().take(departing) {
-                g.pool.mark_departed(i);
-            }
-            g.recolor();
+        let good = sys.graphs.pool.good_indices();
+        let departing = (good.len() as f64 * frac).round() as usize;
+        // Deterministic pick is fine here: which IDs leave does not
+        // matter to the observation, only how many.
+        for &i in good.iter().take(departing) {
+            sys.graphs.pool.mark_departed(i);
         }
+        sys.graphs.recolor();
         sys
     }
 
     #[test]
     fn churn_timed_observes_departure_fraction() {
         let sys = churned_system(0.3, 21);
-        let view =
-            AdversaryView { epoch: 2, graphs: GraphsView::Legacy(&sys.graphs), epoch_string: None };
+        let view = AdversaryView { epoch: 2, graphs: sys.graphs.view(), epoch_string: None };
         let seen = ChurnTimed::observed_departure(&view);
         assert!((0.28..0.32).contains(&seen), "observed departure {seen:.3}");
         assert_eq!(ChurnTimed::observed_departure(&AdversaryView::genesis(0)), 0.0);
@@ -587,11 +583,7 @@ mod tests {
     #[test]
     fn churn_timed_holds_back_in_quiet_epochs() {
         let quiet = churned_system(0.05, 23);
-        let view = AdversaryView {
-            epoch: 2,
-            graphs: GraphsView::Legacy(&quiet.graphs),
-            epoch_string: None,
-        };
+        let view = AdversaryView { epoch: 2, graphs: quiet.graphs.view(), epoch_string: None };
         let (good, mut rng) = census(400, 25);
         let mut s = ChurnTimed::default();
         let bad = s.place(&view, &good, 40, &mut rng);
@@ -603,11 +595,7 @@ mod tests {
     #[test]
     fn churn_timed_strikes_with_full_budget_after_heavy_departure() {
         let heavy = churned_system(0.3, 27);
-        let view = AdversaryView {
-            epoch: 2,
-            graphs: GraphsView::Legacy(&heavy.graphs),
-            epoch_string: None,
-        };
+        let view = AdversaryView { epoch: 2, graphs: heavy.graphs.view(), epoch_string: None };
         let (good, mut rng) = census(2000, 29);
         let budget = 100;
         let mut s = ChurnTimed::default();

@@ -18,17 +18,15 @@
 //! dual search with one search in one old graph — per-slot failure `q_f`
 //! instead of `q_f²` — which is exactly the compounding-error design the
 //! paper warns against; experiment E4 shows it diverge.
+//!
+//! This module holds the protocol's search primitives and counters; the
+//! build loop itself runs on the arena layout (`crate::arena`).
 
-use crate::graph::{GroupGraph, GroupGraphView};
-use crate::group::Group;
-use crate::params::Params;
-use crate::population::Population;
+use crate::graph::GroupGraphView;
 use crate::routing::search_path;
 use rand::rngs::StdRng;
 use rand::Rng;
-use tg_crypto::OracleFamily;
 use tg_idspace::Id;
-use tg_overlay::GraphKind;
 use tg_sim::Metrics;
 
 /// Whether construction uses the paper's two-graph dual searches or the
@@ -90,9 +88,8 @@ impl BuildStats {
 /// graph (the paper assumes joiners know a good bootstrap group,
 /// Appendix IX). Returns `None` when the graph has no blue group left.
 ///
-/// Generic over the storage layout so the arena kernel draws the exact
-/// same bootstrap sequence as the legacy path (the draw count depends
-/// only on the RNG stream and the old graph's colors).
+/// The draw count depends only on the RNG stream and the old graph's
+/// colors.
 pub(crate) fn pick_boot<G: GroupGraphView>(old: &G, rng: &mut StdRng) -> Option<usize> {
     // Rejection sampling: expected O(1) tries while most groups are blue;
     // fall back to a scan when the graph is badly degraded.
@@ -127,8 +124,8 @@ pub(crate) fn protocol_search<G: GroupGraphView>(
 
 /// Dual (or single, per mode) search across the old graphs. `from[s]` is
 /// the initiating group index in old graph `s`. Short-circuits after the
-/// first success (`any`), which both kernels must preserve — the skipped
-/// second search never reaches [`Metrics`].
+/// first success (`any`) — the skipped second search never reaches
+/// [`Metrics`].
 pub(crate) fn construction_search<G: GroupGraphView>(
     olds: &[G],
     from: &[Option<usize>],
@@ -138,196 +135,53 @@ pub(crate) fn construction_search<G: GroupGraphView>(
     olds.iter().zip(from.iter()).any(|(g, &f)| protocol_search(g, f, point, metrics))
 }
 
-/// Build the new group graphs for the next epoch.
-///
-/// * `olds` — the operational graphs of the current epoch (2 for
-///   [`BuildMode::DualGraph`], 1 for the ablation). Their *leader*
-///   generation becomes the member pool of the new graphs.
-/// * `new_leaders` — the next epoch's ID population.
-///
-/// Returns the new graphs (one per side) and the construction counters.
-#[allow(clippy::too_many_arguments)] // the protocol's full parameter surface
-pub fn build_new_graphs(
-    olds: &[GroupGraph],
-    new_leaders: &Population,
-    kind: GraphKind,
-    fam: &OracleFamily,
-    params: &Params,
-    mode: BuildMode,
-    rng: &mut StdRng,
-    metrics: &mut Metrics,
-) -> (Vec<GroupGraph>, BuildStats) {
-    assert_eq!(olds.len(), mode.sides(), "old-graph count must match the build mode");
-    let n_new = new_leaders.len();
-    let pool = olds[0].leaders.clone();
-    let pool_bad: Vec<usize> = pool.bad_indices();
-    let draws = params.draws(n_new);
-    let mut stats = BuildStats::default();
-
-    let mut sides: Vec<(Vec<Group>, Vec<bool>)> = Vec::with_capacity(mode.sides());
-
-    for side in 0..mode.sides() {
-        let oracle = match mode {
-            BuildMode::DualGraph => fam.membership(side),
-            BuildMode::SingleGraph => fam.h1,
-        };
-        let topology = kind.build(new_leaders.ring().clone());
-        let mut groups: Vec<Group> = Vec::with_capacity(n_new);
-        let mut confused = vec![false; n_new];
-
-        #[allow(clippy::needless_range_loop)] // w indexes several parallel structures
-        for w in 0..n_new {
-            let wid = new_leaders.ring().at(w);
-
-            // --- Membership (Lemma 6/7) ---
-            // Fresh bootstrap groups per search: the bootstrap performs
-            // each search anyway, and initiating-point diversity keeps
-            // failures of different slots from coupling through a shared
-            // early route.
-            let mut members: Vec<u32> = Vec::with_capacity(draws);
-            let mut captured = 0u32;
-            for i in 0..draws {
-                stats.member_slots += 1;
-                let boots: Vec<Option<usize>> = olds.iter().map(|g| pick_boot(g, rng)).collect();
-                let point = oracle.hash_id_index(wid, i as u32);
-                if !construction_search(olds, &boots, point, metrics) {
-                    // Both searches failed: the adversary answers and
-                    // plants one of its pool IDs (or the slot is simply
-                    // lost if it has none).
-                    stats.captured_slots += 1;
-                    if !pool_bad.is_empty() {
-                        captured += 1;
-                    }
-                    continue;
-                }
-                let cand = pool.ring().successor_index(point);
-                if pool.is_bad(cand) {
-                    // An honest resolution that happens to be a bad ID —
-                    // it gladly accepts membership.
-                    stats.bad_member_draws += 1;
-                    members.push(cand as u32);
-                    continue;
-                }
-                // Verification by the good candidate: its own searches,
-                // initiated from its own groups in the old graphs.
-                let own: Vec<Option<usize>> = (0..olds.len()).map(|_| Some(cand)).collect();
-                if construction_search(olds, &own, point, metrics) {
-                    members.push(cand as u32);
-                } else {
-                    stats.rejected_slots += 1;
-                }
-            }
-            groups.push(Group::new(w as u32, members, captured));
-
-            // --- Neighbor links (Lemma 8) ---
-            // "Updating Links" re-runs the update whenever a better match
-            // joins; only the final selection matters for confusion, so a
-            // link gets `1 + link_retries` independent chances.
-            let attempts = 1 + params.link_retries;
-            for u in topology.neighbors(wid) {
-                stats.links_required += 1;
-                let mut established = false;
-                for _ in 0..attempts {
-                    // Locate the neighbor through the old graphs...
-                    let boots_try: Vec<Option<usize>> =
-                        olds.iter().map(|g| pick_boot(g, rng)).collect();
-                    if !construction_search(olds, &boots_try, u, metrics) {
-                        continue;
-                    }
-                    // ...and let the (good) neighbor verify the request.
-                    let u_idx = new_leaders.ring().index_of(u).expect("neighbor is a new leader");
-                    let verified = if new_leaders.is_bad(u_idx) {
-                        // A bad neighbor may accept or ignore; ignoring
-                        // only hurts itself (the link to a red group is
-                        // irrelevant), accepting matches the topology.
-                        true
-                    } else {
-                        let u_boots: Vec<Option<usize>> =
-                            olds.iter().map(|g| pick_boot(g, rng)).collect();
-                        construction_search(olds, &u_boots, u, metrics)
-                    };
-                    if verified {
-                        established = true;
-                        break;
-                    }
-                }
-                if !established {
-                    stats.links_failed += 1;
-                    confused[w] = true;
-                }
-            }
-        }
-        sides.push((groups, confused));
-    }
-
-    // --- The Lemma 10 state attack: spurious membership requests ---
-    // The adversary sends fake "you are suc(h(w,i))" requests to good pool
-    // IDs; a good ID accepts only if *both* of its verification searches
-    // fail (in which case the adversary controlled the answers).
-    let good_pool = pool.good_indices();
-    if params.attack_requests_per_id > 0 && !good_pool.is_empty() {
-        for &u in &good_pool {
-            for _ in 0..params.attack_requests_per_id {
-                stats.spurious_issued += 1;
-                let fake_point = Id(rng.gen());
-                let own: Vec<Option<usize>> = (0..olds.len()).map(|_| Some(u)).collect();
-                if !construction_search(olds, &own, fake_point, metrics) {
-                    stats.spurious_accepted += 1;
-                }
-            }
-        }
-    }
-
-    let graphs = sides
-        .into_iter()
-        .map(|(groups, confused)| {
-            GroupGraph::new(
-                new_leaders.clone(),
-                pool.clone(),
-                groups,
-                confused,
-                kind.build(new_leaders.ring().clone()),
-            )
-        })
-        .collect();
-    (graphs, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::build_initial_graph;
+    use crate::arena::{build_new_arena, ArenaGraphs};
+    use crate::params::Params;
+    use crate::population::Population;
     use rand::SeedableRng;
+    use tg_crypto::OracleFamily;
+    use tg_overlay::GraphKind;
 
-    fn initial_pair(n_good: usize, n_bad: usize, seed: u64) -> (Vec<GroupGraph>, Params) {
+    /// Trusted-bootstrap graphs over `n_good + n_bad` IDs, then one build
+    /// of an equally sized next generation through them. `degrade` runs
+    /// on the old graphs before the build.
+    fn build_next(
+        n_good: usize,
+        n_bad: usize,
+        seed: u64,
+        mode: BuildMode,
+        degrade: impl FnOnce(&mut ArenaGraphs),
+    ) -> (ArenaGraphs, BuildStats, Metrics, Params) {
         let params = Params::paper_defaults();
+        let fam = OracleFamily::new(seed);
         let mut rng = StdRng::seed_from_u64(seed);
         let pop = Population::uniform(n_good, n_bad, &mut rng);
-        let fam = OracleFamily::new(seed);
-        let a = build_initial_graph(pop.clone(), GraphKind::D2B, fam.h1, &params);
-        let b = build_initial_graph(pop, GraphKind::D2B, fam.h2, &params);
-        (vec![a, b], params)
-    }
-
-    #[test]
-    fn builds_one_group_per_new_leader() {
-        let (olds, params) = initial_pair(400, 20, 1);
-        let fam = OracleFamily::new(1);
-        let mut rng = StdRng::seed_from_u64(2);
-        let new_pop = Population::uniform(400, 20, &mut rng);
+        let mut olds = ArenaGraphs::initial(pop, GraphKind::D2B, &fam, mode, &params, None);
+        degrade(&mut olds);
+        let new_pop = Population::uniform(n_good, n_bad, &mut rng);
         let mut m = Metrics::new();
-        let (news, stats) = build_new_graphs(
+        let (news, stats) = build_new_arena(
             &olds,
             &new_pop,
             GraphKind::D2B,
             &fam,
             &params,
-            BuildMode::DualGraph,
+            mode,
+            None,
             &mut rng,
             &mut m,
         );
-        assert_eq!(news.len(), 2);
-        for g in &news {
+        (news, stats, m, params)
+    }
+
+    #[test]
+    fn builds_one_group_per_new_leader() {
+        let (news, stats, m, params) = build_next(400, 20, 1, BuildMode::DualGraph, |_| {});
+        assert_eq!(news.sides(), 2);
+        for g in news.view().iter() {
             assert_eq!(g.len(), 420);
         }
         assert_eq!(stats.member_slots, 2 * 420 * params.draws(420) as u64);
@@ -338,100 +192,45 @@ mod tests {
     fn clean_old_graphs_build_clean_new_graphs() {
         // No adversary anywhere: nothing can be captured, rejected, or
         // confused.
-        let (olds, params) = initial_pair(300, 0, 3);
-        let fam = OracleFamily::new(3);
-        let mut rng = StdRng::seed_from_u64(4);
-        let new_pop = Population::uniform(300, 0, &mut rng);
-        let mut m = Metrics::new();
-        let (news, stats) = build_new_graphs(
-            &olds,
-            &new_pop,
-            GraphKind::D2B,
-            &fam,
-            &params,
-            BuildMode::DualGraph,
-            &mut rng,
-            &mut m,
-        );
+        let (news, stats, _, _) = build_next(300, 0, 3, BuildMode::DualGraph, |_| {});
         assert_eq!(stats.captured_slots, 0);
         assert_eq!(stats.rejected_slots, 0);
         assert_eq!(stats.bad_member_draws, 0);
         assert_eq!(stats.links_failed, 0);
         assert_eq!(stats.spurious_accepted, 0);
-        for g in &news {
+        for g in news.view().iter() {
             assert_eq!(g.frac_red(), 0.0);
         }
     }
 
     #[test]
     fn bad_member_rate_tracks_beta() {
-        let (olds, params) = initial_pair(1000, 50, 5); // β ≈ 0.048
-        let fam = OracleFamily::new(5);
-        let mut rng = StdRng::seed_from_u64(6);
-        let new_pop = Population::uniform(1000, 50, &mut rng);
-        let mut m = Metrics::new();
-        let (_, stats) = build_new_graphs(
-            &olds,
-            &new_pop,
-            GraphKind::D2B,
-            &fam,
-            &params,
-            BuildMode::DualGraph,
-            &mut rng,
-            &mut m,
-        );
+        // β ≈ 0.048
+        let (_, stats, _, _) = build_next(1000, 50, 5, BuildMode::DualGraph, |_| {});
         let rate = stats.bad_member_draws as f64 / stats.member_slots as f64;
         assert!((0.02..0.09).contains(&rate), "bad-draw rate {rate:.3} vs β ≈ 0.048");
     }
 
     #[test]
     fn single_mode_builds_one_side() {
-        let (olds, params) = initial_pair(200, 10, 7);
-        let fam = OracleFamily::new(7);
-        let mut rng = StdRng::seed_from_u64(8);
-        let new_pop = Population::uniform(200, 10, &mut rng);
-        let mut m = Metrics::new();
-        let (news, _) = build_new_graphs(
-            &olds[..1],
-            &new_pop,
-            GraphKind::D2B,
-            &fam,
-            &params,
-            BuildMode::SingleGraph,
-            &mut rng,
-            &mut m,
-        );
-        assert_eq!(news.len(), 1);
+        let (news, _, _, _) = build_next(200, 10, 7, BuildMode::SingleGraph, |_| {});
+        assert_eq!(news.sides(), 1);
     }
 
     #[test]
     fn degraded_old_graphs_capture_slots() {
-        // Force every old group red: every construction search fails, so
-        // every slot is captured and every link fails.
-        let (mut olds, params) = initial_pair(150, 10, 9);
-        for g in olds.iter_mut() {
-            for i in 0..g.len() {
-                g.confused[i] = true;
+        // Every old member departs, so every old group is red: every
+        // construction search fails, every slot is captured and every
+        // link fails.
+        let (news, stats, _, _) = build_next(150, 10, 9, BuildMode::DualGraph, |olds| {
+            for i in 0..olds.pool.len() {
+                olds.pool.mark_departed(i);
             }
-            g.recolor();
-        }
-        let fam = OracleFamily::new(9);
-        let mut rng = StdRng::seed_from_u64(10);
-        let new_pop = Population::uniform(150, 10, &mut rng);
-        let mut m = Metrics::new();
-        let (news, stats) = build_new_graphs(
-            &olds,
-            &new_pop,
-            GraphKind::D2B,
-            &fam,
-            &params,
-            BuildMode::DualGraph,
-            &mut rng,
-            &mut m,
-        );
+            olds.recolor();
+        });
         assert_eq!(stats.captured_slots, stats.member_slots);
         assert_eq!(stats.links_failed, stats.links_required);
-        for g in &news {
+        for g in news.view().iter() {
             assert_eq!(g.frac_red(), 1.0, "wholly adversarial construction");
         }
     }

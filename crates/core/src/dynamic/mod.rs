@@ -27,15 +27,15 @@
 
 pub mod adversary;
 pub mod build;
-pub mod kernel;
 pub mod provider;
 pub mod system;
 
+pub use crate::arena::DynamicSystem;
+pub use crate::scenario::KernelChoice;
 pub use adversary::{
     AdaptiveMajorityFlipper, AdversaryStrategy, AdversaryView, ChurnTimed, GapFilling,
     IntervalTargeting, StrategicProvider, Uniform,
 };
 pub use build::{BuildMode, BuildStats};
-pub use kernel::{EpochKernel, KernelChoice};
 pub use provider::{EpochIds, IdentityProvider, UniformProvider, WithEpochString};
-pub use system::{DynamicSystem, EpochReport};
+pub use system::EpochReport;

@@ -1,17 +1,8 @@
-//! The epoch loop: churn, build, measure, swap (§III).
+//! The per-epoch report of the §III epoch loop (churn, build, measure,
+//! swap), which [`crate::dynamic::DynamicSystem`] runs.
 
-use crate::dynamic::adversary::AdversaryView;
-use crate::dynamic::build::{build_new_graphs, BuildMode, BuildStats};
-use crate::dynamic::provider::IdentityProvider;
-use crate::graph::{GraphsView, GroupGraph};
-use crate::params::Params;
-use crate::population::Population;
-use crate::robustness::{measure_dual_success, measure_robustness};
-use rand::rngs::StdRng;
-use rand::Rng;
-use tg_crypto::OracleFamily;
-use tg_overlay::GraphKind;
-use tg_sim::{stream_rng, Metrics};
+use crate::dynamic::build::BuildStats;
+use tg_sim::Metrics;
 
 /// Per-epoch measurements (taken on the freshly built graphs, which are
 /// the ones the next epoch operates on).
@@ -41,201 +32,15 @@ pub struct EpochReport {
     pub metrics: Metrics,
 }
 
-/// The dynamic system: a pair of operational group graphs that re-derive
-/// themselves every epoch through the old pair.
-pub struct DynamicSystem {
-    /// Construction constants.
-    pub params: Params,
-    /// Input-graph topology family.
-    pub kind: GraphKind,
-    /// Oracle family (fixed at system initialization — the hash functions
-    /// ship with the software, §III footnote 12).
-    pub fam: OracleFamily,
-    /// Dual-graph (paper) or single-graph (ablation) construction.
-    pub mode: BuildMode,
-    /// The operational graphs (2 for dual, 1 for single).
-    pub graphs: Vec<GroupGraph>,
-    /// The epoch the operational graphs serve.
-    pub epoch: u64,
-    /// Searches sampled per epoch for the robustness report.
-    pub searches_per_epoch: usize,
-    master_seed: u64,
-}
-
-impl DynamicSystem {
-    /// Initialize at epoch 1 with trusted-bootstrap graphs (`G⁰₁, G⁰₂`;
-    /// the paper's Appendix X initialization assumption).
-    pub fn new(
-        params: Params,
-        kind: GraphKind,
-        mode: BuildMode,
-        provider: &mut dyn IdentityProvider,
-        master_seed: u64,
-    ) -> Self {
-        let fam = OracleFamily::new(master_seed);
-        let mut rng = stream_rng(master_seed, "init", 0);
-        let ids = provider.ids_for_epoch(0, &AdversaryView::genesis(0), &mut rng);
-        let pop = Population::new(ids.good, ids.bad);
-        let graphs: Vec<GroupGraph> = (0..mode.sides())
-            .map(|s| {
-                crate::build::build_initial_graph(
-                    pop.clone(),
-                    kind,
-                    fam.membership(if mode == BuildMode::SingleGraph { 0 } else { s }),
-                    &params,
-                )
-            })
-            .collect();
-        DynamicSystem {
-            params,
-            kind,
-            fam,
-            mode,
-            graphs,
-            epoch: 1,
-            searches_per_epoch: 400,
-            master_seed,
-        }
-    }
-
-    /// Run one epoch: intra-epoch churn on the serving pool, construction
-    /// of the next pair through the current one, measurement, swap.
-    ///
-    /// The dynamic layer itself has no notion of epoch strings — they
-    /// belong to §IV's minting pipeline, so the [`AdversaryView`] handed
-    /// to the provider carries `epoch_string: None`. A composed system
-    /// (e.g. `tg-pow::FullSystem`) that agrees on a string *before*
-    /// minting injects it at the provider layer instead: wrap the
-    /// strategic provider in [`crate::dynamic::WithEpochString`] and the
-    /// view its inner provider observes carries the string in force —
-    /// hoarding strategies grind against it, and the fresh-vs-frozen
-    /// contrast of §IV-B plays out over the real protocol string rather
-    /// than a synthesized stand-in.
-    pub fn advance_epoch(&mut self, provider: &mut dyn IdentityProvider) -> EpochReport {
-        let mut rng = stream_rng(self.master_seed, "epoch", self.epoch);
-        let mut metrics = Metrics::new();
-
-        // 1. Intra-epoch churn: a fraction of the good *member pool*
-        //    departs while the graphs serve (§III model; bad IDs stay —
-        //    the adversary's worst case). The same IDs depart from every
-        //    side's pool (it is one physical population).
-        let depart_fraction = self.params.churn_rate;
-        if depart_fraction > 0.0 {
-            let pool_len = self.graphs[0].pool.len();
-            let mut pick_rng = stream_rng(self.master_seed, "churn", self.epoch);
-            let mut departing: Vec<usize> = Vec::new();
-            {
-                // Choose on a scratch clone so every side gets the same set.
-                let mut scratch = self.graphs[0].pool.clone();
-                let before: Vec<bool> = (0..pool_len).map(|i| scratch.is_live(i)).collect();
-                scratch.depart_good_fraction(depart_fraction, &mut pick_rng);
-                for (i, &was_live) in before.iter().enumerate() {
-                    if was_live && !scratch.is_live(i) {
-                        departing.push(i);
-                    }
-                }
-            }
-            for g in self.graphs.iter_mut() {
-                for &i in &departing {
-                    g.pool.mark_departed(i);
-                }
-                g.recolor();
-            }
-        }
-
-        // 2. Mint the next epoch's IDs and build the new graphs through
-        //    the (churned) current ones. A strategic adversary inside the
-        //    provider observes the graphs that just served this epoch.
-        let view = AdversaryView {
-            epoch: self.epoch + 1,
-            graphs: GraphsView::Legacy(&self.graphs),
-            epoch_string: None,
-        };
-        let ids = provider.ids_for_epoch(self.epoch + 1, &view, &mut rng);
-        let new_pop = Population::new(ids.good, ids.bad);
-        let (news, build) = build_new_graphs(
-            &self.graphs,
-            &new_pop,
-            self.kind,
-            &self.fam,
-            &self.params,
-            self.mode,
-            &mut rng,
-            &mut metrics,
-        );
-
-        // 3. Measure the fresh graphs (they serve epoch + 1).
-        let mut meas_rng = stream_rng(self.master_seed, "measure", self.epoch);
-        let single =
-            measure_robustness(&news[0], &self.params, self.searches_per_epoch, &mut meas_rng);
-        let dual = if news.len() == 2 {
-            let mut dual_rng = stream_rng(self.master_seed, "measure-dual", self.epoch);
-            measure_dual_success([&news[0], &news[1]], self.searches_per_epoch, &mut dual_rng)
-        } else {
-            single.search_success
-        };
-
-        // 4. Membership-state accounting (Lemma 10): how many groups does
-        //    each good pool ID serve in, across all sides?
-        let pool_len = news[0].pool.len();
-        let mut memberships = vec![0usize; pool_len];
-        for g in &news {
-            for group in &g.groups {
-                for &m in &group.members {
-                    memberships[m as usize] += 1;
-                }
-            }
-        }
-        let good_counts: Vec<usize> =
-            (0..pool_len).filter(|&i| !news[0].pool.is_bad(i)).map(|i| memberships[i]).collect();
-        let mean_memberships =
-            good_counts.iter().sum::<usize>() as f64 / good_counts.len().max(1) as f64;
-        let max_memberships = good_counts.iter().copied().max().unwrap_or(0);
-
-        let report = EpochReport {
-            epoch: self.epoch + 1,
-            frac_red: news.iter().map(|g| g.frac_red()).collect(),
-            frac_good_majority: news.iter().map(|g| g.frac_good_majority()).collect(),
-            frac_confused: news.iter().map(|g| g.frac_confused()).collect(),
-            frac_paper_invariant: news
-                .iter()
-                .map(|g| g.frac_paper_invariant(&self.params))
-                .collect(),
-            search_success_single: single.search_success,
-            search_success_dual: dual,
-            build,
-            mean_memberships,
-            max_memberships,
-            metrics,
-        };
-
-        // 5. Swap: the new pair becomes operational.
-        self.graphs = news;
-        self.epoch += 1;
-        report
-    }
-
-    /// Run `epochs` epochs, returning all reports.
-    pub fn run(&mut self, provider: &mut dyn IdentityProvider, epochs: usize) -> Vec<EpochReport> {
-        (0..epochs).map(|_| self.advance_epoch(provider)).collect()
-    }
-
-    /// A u.a.r. good leader index of side 0 (handy for examples).
-    pub fn random_good_leader(&self, rng: &mut StdRng) -> usize {
-        let g = &self.graphs[0];
-        loop {
-            let i = rng.gen_range(0..g.len());
-            if !g.leaders.is_bad(i) {
-                return i;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::dynamic::provider::UniformProvider;
+    use crate::dynamic::adversary::AdversaryView;
+    use crate::dynamic::build::BuildMode;
+    use crate::dynamic::provider::{IdentityProvider, UniformProvider};
+    use crate::dynamic::DynamicSystem;
+    use crate::params::Params;
+    use rand::rngs::StdRng;
+    use tg_overlay::GraphKind;
 
     fn small_system(mode: BuildMode, seed: u64) -> (DynamicSystem, UniformProvider) {
         let mut params = Params::paper_defaults();
@@ -244,7 +49,7 @@ mod tests {
         // fast and stable.
         params.churn_rate = 0.1;
         let mut provider = UniformProvider { n_good: 380, n_bad: 20 };
-        let sys = DynamicSystem::new(params, GraphKind::D2B, mode, &mut provider, seed);
+        let sys = DynamicSystem::new(params, GraphKind::D2B, mode, &mut provider, seed, None);
         (sys, provider)
     }
 
@@ -255,7 +60,7 @@ mod tests {
         let r = sys.advance_epoch(&mut provider);
         assert_eq!(r.epoch, 2);
         assert_eq!(sys.epoch, 2);
-        assert_eq!(sys.graphs.len(), 2);
+        assert_eq!(sys.graphs.sides(), 2);
         // New leaders are a fresh generation.
         let r2 = sys.advance_epoch(&mut provider);
         assert_eq!(r2.epoch, 3);
@@ -328,8 +133,14 @@ mod tests {
         params.attack_requests_per_id = 0;
         let spy = StringSpy { inner: UniformProvider { n_good: 380, n_bad: 20 }, seen: Vec::new() };
         let mut wrapped = WithEpochString { inner: spy, epoch_string: None };
-        let mut sys =
-            DynamicSystem::new(params, GraphKind::D2B, BuildMode::DualGraph, &mut wrapped, 11);
+        let mut sys = DynamicSystem::new(
+            params,
+            GraphKind::D2B,
+            BuildMode::DualGraph,
+            &mut wrapped,
+            11,
+            None,
+        );
         sys.advance_epoch(&mut wrapped);
         wrapped.epoch_string = Some(0xABCD);
         sys.advance_epoch(&mut wrapped);

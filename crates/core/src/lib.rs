@@ -26,6 +26,9 @@
 //! * [`dynamic`] — the dynamic case (§III): epochs, two old + two new
 //!   group graphs, dual-search membership and neighbor construction with
 //!   verification, churn, and the single-graph ablation,
+//! * [`arena`] — the epoch kernel behind [`dynamic::DynamicSystem`]:
+//!   one contiguous member column per side, with the membership and
+//!   measurement phases fanned out deterministically,
 //! * [`dynamic::adversary`] — the pluggable adversary-strategy engine:
 //!   placement policies (uniform, gap-filling, interval-targeting,
 //!   adaptive majority flipping) that observe each epoch's graphs and
@@ -61,11 +64,11 @@ pub mod routing;
 pub mod runtime;
 pub mod scenario;
 
-pub use arena::{ArenaGraphs, ArenaSideRef, ArenaSystem};
+pub use arena::{ArenaGraphs, ArenaSideRef};
 pub use bootstrap::{assemble_bootstrap, recommended_contacts, BootstrapGroup};
 pub use build::build_initial_graph;
 pub use dht::{GetOutcome, SecureDht};
-pub use graph::{Color, GraphsView, GroupGraph, GroupGraphView, SideRef};
+pub use graph::{Color, GraphsView, GroupGraph, GroupGraphView};
 pub use group::Group;
 pub use params::{GroupSizeRule, Params};
 pub use population::Population;

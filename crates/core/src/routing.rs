@@ -68,8 +68,8 @@ impl SearchOutcome {
 /// index) for `key`. Updates `metrics`.
 ///
 /// Generic over the graph's storage layout ([`GroupGraphView`]): the
-/// legacy per-group and the arena SoA kernels share this one routine, so
-/// their search semantics cannot drift apart.
+/// static per-group graphs and the epoch kernel's SoA sides share this
+/// one routine, so their search semantics cannot drift apart.
 pub fn search_path<G: GroupGraphView>(
     gg: &G,
     from_leader: usize,

@@ -30,7 +30,7 @@
 //! rescaled — the actor runtime reproduces the synchronous drivers'
 //! [`EpochObservation`]s **byte-identically** (the conformance suite and
 //! the golden replays pin this). The transport draws no RNG, so the
-//! kernels' seeded streams are untouched whatever the fault plan; see
+//! epoch kernel's seeded streams are untouched whatever the fault plan; see
 //! `tg_sim::net` for the determinism contract.
 //!
 //! ## Transports and phase windows
@@ -56,8 +56,9 @@
 
 use crate::dynamic::adversary::AdversaryView;
 use crate::dynamic::provider::{EpochIds, IdentityProvider};
+use crate::dynamic::DynamicSystem;
 use crate::graph::GraphsView;
-use crate::scenario::{EpochDriver, EpochKernel, EpochObservation, ObservationBatch, ScenarioSpec};
+use crate::scenario::{EpochDriver, EpochObservation, ObservationBatch, ScenarioSpec};
 use rand::rngs::StdRng;
 use tg_sim::clock::PhaseWindow;
 use tg_sim::net::{
@@ -376,7 +377,7 @@ impl IdentityProvider for NetFilter<'_> {
 }
 
 /// The [`EpochDriver`] running [`crate::scenario::Defense::NoPow`]
-/// scenarios through the actor runtime: the same [`EpochKernel`] as
+/// scenarios through the actor runtime: the same [`DynamicSystem`] as
 /// [`crate::scenario::DynamicDriver`], with the membership and probe
 /// phases routed over the scenario's network.
 ///
@@ -384,7 +385,7 @@ impl IdentityProvider for NetFilter<'_> {
 /// exists from the first *advanced* epoch on, mirroring the paper's
 /// assumption of a correct initial configuration.
 pub struct ActorDriver {
-    sys: EpochKernel,
+    sys: DynamicSystem,
     provider: crate::scenario::RecordingProvider,
     net: EpochNet,
     searches: usize,
@@ -398,8 +399,7 @@ impl ActorDriver {
     pub fn with_provider(spec: &ScenarioSpec, inner: Box<dyn IdentityProvider>) -> ActorDriver {
         let mut provider =
             crate::scenario::RecordingProvider { inner, last_bad: 0, last_share: 0.0 };
-        let mut sys = EpochKernel::new(
-            spec.kernel,
+        let mut sys = DynamicSystem::new(
             spec.params,
             spec.kind,
             spec.mode,
@@ -407,7 +407,7 @@ impl ActorDriver {
             spec.seed,
             spec.capacity,
         );
-        sys.set_searches_per_epoch(spec.searches);
+        sys.searches_per_epoch = spec.searches;
         ActorDriver {
             sys,
             provider,
@@ -434,7 +434,7 @@ impl EpochDriver for ActorDriver {
             r.search_success_single *= f;
             r.search_success_dual *= f;
         }
-        self.obs.fill_dynamic(&r, self.sys.graphs());
+        self.obs.fill_dynamic(&r, self.sys.graphs.view());
         self.obs.bad_ids = self.provider.last_bad;
         self.obs.bad_share = self.provider.last_share;
         // The epoch's late-window message count (`NetStats.late` is
@@ -449,11 +449,11 @@ impl EpochDriver for ActorDriver {
     }
 
     fn graphs(&self) -> GraphsView<'_> {
-        self.sys.graphs()
+        self.sys.graphs.view()
     }
 
     fn epoch(&self) -> u64 {
-        self.sys.epoch()
+        self.sys.epoch
     }
 
     fn batch(&self) -> &ObservationBatch {

@@ -63,6 +63,7 @@ use crate::dynamic::adversary::{
 use crate::dynamic::build::{BuildMode, BuildStats};
 use crate::dynamic::provider::{IdentityProvider, UniformProvider};
 use crate::dynamic::system::EpochReport;
+use crate::dynamic::DynamicSystem;
 use crate::graph::{GraphsView, GroupGraphView};
 use crate::params::{GroupSizeRule, Params};
 use rand::rngs::StdRng;
@@ -70,9 +71,25 @@ use tg_idspace::Id;
 use tg_overlay::GraphKind;
 use tg_sim::Metrics;
 
-pub use crate::dynamic::kernel::{EpochKernel, KernelChoice};
 pub use crate::runtime::RuntimeChoice;
 pub use tg_sim::net::{FaultPlan, TransportChoice};
+
+/// The epoch kernel of a spec. Fixed at `Arena`, the only kernel; kept
+/// because `perfbench` still names it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub enum KernelChoice {
+    /// The arena/SoA kernel behind [`DynamicSystem`].
+    #[default]
+    Arena,
+}
+
+impl KernelChoice {
+    /// Parse a `kernel=` codec token: `arena` and the retired `legacy`
+    /// both map to [`KernelChoice::Arena`].
+    pub fn parse(s: &str) -> Option<KernelChoice> {
+        matches!(s, "arena" | "legacy").then_some(KernelChoice::Arena)
+    }
+}
 
 /// Which minting scheme a PoW pipeline runs (§IV-A). Lives here (rather
 /// than in `tg-pow`, which re-exports it) so the defense axis of a
@@ -408,20 +425,19 @@ pub struct ScenarioSpec {
     /// Master seed; every labelled RNG stream of the run derives from
     /// it.
     pub seed: u64,
-    /// Which epoch kernel runs the scenario. Both kernels produce
-    /// identical observations for identical specs — [`KernelChoice::
-    /// Arena`] is the throughput choice for `n` far above paper scale.
-    /// Codec-optional: omitted from labels/JSON when left at the
-    /// default, so every pre-existing label parses unchanged.
+    /// Fixed at [`KernelChoice::Arena`]; kept for `perfbench`. Labels
+    /// never emit it, and a `kernel=` token in an older label parses as
+    /// a no-op.
     pub kernel: KernelChoice,
-    /// Arena member-column capacity hint (pre-sizes the hot allocation;
-    /// ignored by the legacy kernel). Codec-optional like `kernel`.
+    /// Arena member-column capacity hint (pre-sizes the hot allocation,
+    /// never changes results). Codec-optional: emitted as `cap=` only
+    /// when set, so labels without it parse unchanged.
     pub capacity: Option<usize>,
     /// Which execution model advances the epochs: one synchronous
     /// in-process step ([`RuntimeChoice::Sync`], the conformance
     /// oracle) or per-node actors over an injectable transport
-    /// ([`RuntimeChoice::Actor`]). Codec-optional like `kernel`: over a
-    /// perfect transport both runtimes produce identical observations.
+    /// ([`RuntimeChoice::Actor`]). Codec-optional like `capacity`: over
+    /// a perfect transport both runtimes produce identical observations.
     pub runtime: RuntimeChoice,
     /// Fault plan for the actor runtime's transport (drops, latency,
     /// partitions — all seeded, see `tg_sim::net`). Ignored under
@@ -563,13 +579,6 @@ impl ScenarioSpec {
     /// pipeline).
     pub fn idealized(mut self, idealized_good: bool) -> Self {
         self.idealized_good = idealized_good;
-        self
-    }
-
-    /// Select the epoch kernel (legacy per-group storage vs the arena
-    /// SoA hot path).
-    pub fn kernel(mut self, kernel: KernelChoice) -> Self {
-        self.kernel = kernel;
         self
     }
 
@@ -805,6 +814,8 @@ const KEYS: [&str; 18] = [
 /// from their defaults, accepted (at most once) whether present or not.
 /// Every label or JSON form written before these keys existed therefore
 /// parses to a spec with the defaults — byte-compatible both ways.
+/// `kernel` is never emitted any more; it is still accepted (and
+/// validated) so older labels keep parsing.
 const OPTIONAL_KEYS: [&str; 9] =
     ["kernel", "cap", "runtime", "drop", "lat", "part", "transport", "window", "stradv"];
 
@@ -835,9 +846,6 @@ impl ScenarioSpec {
         ];
         debug_assert_eq!(values.len(), KEYS.len());
         let mut fields: Vec<(&'static str, String)> = KEYS.into_iter().zip(values).collect();
-        if self.kernel != KernelChoice::default() {
-            fields.push(("kernel", self.kernel.label().to_string()));
-        }
         if let Some(cap) = self.capacity {
             fields.push(("cap", cap.to_string()));
         }
@@ -1549,7 +1557,7 @@ impl IdentityProvider for RecordingProvider {
 /// The [`EpochDriver`] over the §III dynamic layer alone
 /// ([`Defense::NoPow`]).
 pub struct DynamicDriver {
-    sys: EpochKernel,
+    sys: DynamicSystem,
     provider: RecordingProvider,
     obs: EpochObservation,
     batch: ObservationBatch,
@@ -1559,12 +1567,9 @@ impl DynamicDriver {
     /// Build the driver for `spec` around an explicit identity provider
     /// (how `tg_pow::scenario` composes minting providers with this
     /// driver; core-only callers should use [`ScenarioSpec::build`]).
-    /// The spec's `kernel` knob picks the legacy per-group or the
-    /// arena/SoA epoch kernel; both produce identical observations.
     pub fn with_provider(spec: &ScenarioSpec, inner: Box<dyn IdentityProvider>) -> DynamicDriver {
         let mut provider = RecordingProvider { inner, last_bad: 0, last_share: 0.0 };
-        let mut sys = EpochKernel::new(
-            spec.kernel,
+        let mut sys = DynamicSystem::new(
             spec.params,
             spec.kind,
             spec.mode,
@@ -1572,7 +1577,7 @@ impl DynamicDriver {
             spec.seed,
             spec.capacity,
         );
-        sys.set_searches_per_epoch(spec.searches);
+        sys.searches_per_epoch = spec.searches;
         DynamicDriver {
             sys,
             provider,
@@ -1585,7 +1590,7 @@ impl DynamicDriver {
 impl EpochDriver for DynamicDriver {
     fn step(&mut self) -> &EpochObservation {
         let r = self.sys.advance_epoch(&mut self.provider);
-        self.obs.fill_dynamic(&r, self.sys.graphs());
+        self.obs.fill_dynamic(&r, self.sys.graphs.view());
         self.obs.bad_ids = self.provider.last_bad;
         self.obs.bad_share = self.provider.last_share;
         &self.obs
@@ -1596,11 +1601,11 @@ impl EpochDriver for DynamicDriver {
     }
 
     fn graphs(&self) -> GraphsView<'_> {
-        self.sys.graphs()
+        self.sys.graphs.view()
     }
 
     fn epoch(&self) -> u64 {
-        self.sys.epoch()
+        self.sys.epoch
     }
 
     fn batch(&self) -> &ObservationBatch {
@@ -1616,7 +1621,6 @@ impl EpochDriver for DynamicDriver {
 mod tests {
     use super::*;
     use crate::dynamic::provider::UniformProvider;
-    use crate::dynamic::system::DynamicSystem;
 
     fn spec() -> ScenarioSpec {
         ScenarioSpec::new(380, 7).churn(0.1).attack_requests(1).searches(200)
@@ -1636,8 +1640,7 @@ mod tests {
                 .defense(Defense::Pow { scheme: MintScheme::SingleHash, fresh_strings: false })
                 .strings(StringMode::Synthesized)
                 .strategy(StrategySpec::PrecomputeHoarder { fam_seed: 99, attempts: 2000 }),
-            spec().kernel(KernelChoice::Arena).capacity(1 << 16),
-            spec().kernel(KernelChoice::Arena),
+            spec().capacity(1 << 16),
         ];
         for s in specs {
             let label = s.label();
@@ -1695,7 +1698,7 @@ mod tests {
                     strategy.build_strategy().unwrap(),
                 )),
             };
-            let mut sys = DynamicSystem::new(s.params, s.kind, s.mode, &mut *direct, s.seed);
+            let mut sys = DynamicSystem::new(s.params, s.kind, s.mode, &mut *direct, s.seed, None);
             sys.searches_per_epoch = s.searches;
 
             for _ in 0..3 {
@@ -1711,7 +1714,7 @@ mod tests {
                 assert!(o.epoch_string.is_none() && o.minted_good.is_none());
             }
             assert_eq!(driver.epoch(), sys.epoch);
-            assert_eq!(driver.graphs().sides(), sys.graphs.len());
+            assert_eq!(driver.graphs().sides(), sys.graphs.sides());
         }
     }
 
@@ -1743,20 +1746,6 @@ mod tests {
         let b = batched.run(2);
         assert_eq!(b.len(), 2, "run clears the previous batch");
         assert_eq!(b.frac_red_s0().as_ptr(), first_ptr, "columns are reused, not re-grown");
-    }
-
-    /// The legacy and arena kernels agree observation-for-observation
-    /// when driven through the scenario layer.
-    #[test]
-    fn arena_kernel_spec_matches_legacy_spec() {
-        let base = spec().topology(GraphKind::D2B);
-        let mut legacy = base.build().unwrap();
-        let mut arena = base.kernel(KernelChoice::Arena).build().unwrap();
-        for _ in 0..3 {
-            let a = legacy.step().clone();
-            let b = arena.step();
-            assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        }
     }
 
     #[test]

@@ -23,7 +23,7 @@ fn epoch_report_matches_golden() {
     params.attack_requests_per_id = 1;
     let mut provider = UniformProvider { n_good: 380, n_bad: 20 };
     let mut sys =
-        DynamicSystem::new(params, GraphKind::D2B, BuildMode::DualGraph, &mut provider, 42);
+        DynamicSystem::new(params, GraphKind::D2B, BuildMode::DualGraph, &mut provider, 42, None);
     sys.searches_per_epoch = 200;
     let mut snapshot = String::new();
     for _ in 0..2 {

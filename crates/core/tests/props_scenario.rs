@@ -9,8 +9,8 @@ use tg_core::dynamic::BuildMode;
 use tg_core::params::GroupSizeRule;
 use tg_core::runtime::RuntimeChoice;
 use tg_core::scenario::{
-    Defense, KernelChoice, MintScheme, ScenarioError, ScenarioSpec, StrategySpec,
-    StringAdversarySpec, StringMode, TransportChoice,
+    Defense, MintScheme, ScenarioError, ScenarioSpec, StrategySpec, StringAdversarySpec,
+    StringMode, TransportChoice,
 };
 use tg_overlay::GraphKind;
 
@@ -87,7 +87,6 @@ proptest! {
         rule_c in 0.1f64..8.0,
         rule_k in 1u64..64,
         idealized in any::<bool>(),
-        kernel_tag in 0u8..2,
         cap in proptest::option::of(1u64..1u64 << 24),
         runtime_tag in 0u8..2,
         drop in 0.0f64..1.0,
@@ -122,7 +121,6 @@ proptest! {
             .strategy(strategy(strategy_tag, sa, sb, sn))
             .searches(searches)
             .idealized(idealized)
-            .kernel(if kernel_tag == 0 { KernelChoice::Legacy } else { KernelChoice::Arena })
             .runtime(runtime)
             .drop_rate(drop)
             .latency(lat)
@@ -185,7 +183,6 @@ proptest! {
     ) {
         let base = ScenarioSpec::new(n_good, seed).churn(churn);
         let label = base.label();
-        prop_assert!(!label.contains("kernel="), "default kernel is elided: {}", label);
         prop_assert!(!label.contains("cap="), "default capacity is elided: {}", label);
         for knob in ["runtime=", "drop=", "lat=", "part=", "transport=", "window=", "stradv="] {
             prop_assert!(!label.contains(knob), "default {} is elided: {}", knob, label);
@@ -193,7 +190,6 @@ proptest! {
 
         // A pre-knob consumer's label parses to the default knobs.
         let parsed = ScenarioSpec::parse(&label).unwrap();
-        prop_assert_eq!(parsed.kernel, KernelChoice::Legacy);
         prop_assert_eq!(parsed.capacity, None);
         prop_assert_eq!(parsed.runtime, RuntimeChoice::Sync);
         prop_assert_eq!(parsed.faults, tg_core::scenario::FaultPlan::default());
@@ -202,7 +198,7 @@ proptest! {
         prop_assert_eq!(parsed.string_adversary, StringAdversarySpec::None);
 
         // And the knobs themselves round-trip through both codecs.
-        let scaled = base.kernel(KernelChoice::Arena).capacity(cap as usize);
+        let scaled = base.capacity(cap as usize);
         prop_assert_eq!(&ScenarioSpec::parse(&scaled.label()).unwrap(), &scaled);
         prop_assert_eq!(&ScenarioSpec::from_json(&scaled.to_json()).unwrap(), &scaled);
     }
@@ -223,11 +219,11 @@ proptest! {
         cap in 1u64..1u64 << 24,
         dup_value_from_label in any::<bool>(),
     ) {
-        // Every optional knob is non-default, so all 27 codec keys
-        // appear in the label and each one gets a duplication trial.
+        // Every optional knob is non-default, so all 26 emitted codec
+        // keys appear in the label and each one gets a duplication trial
+        // (`kernel=`, never emitted, is pinned by the no-op test below).
         let spec = ScenarioSpec::new(n_good, seed)
             .churn(churn)
-            .kernel(KernelChoice::Arena)
             .capacity(cap as usize)
             .runtime(RuntimeChoice::Actor)
             .drop_rate(drop)
@@ -245,7 +241,7 @@ proptest! {
             .skip(1) // the `tg1` version tag
             .map(|f| f.split_once('=').expect("every label field is key=value"))
             .collect();
-        prop_assert_eq!(fields.len(), 27, "label: {}", label);
+        prop_assert_eq!(fields.len(), 26, "label: {}", label);
         for (key, value) in &fields {
             // Duplicating with the same value must fail exactly like a
             // conflicting one — duplicates are rejected, not merged.
@@ -260,6 +256,43 @@ proptest! {
                 key,
                 msg
             );
+        }
+    }
+
+    /// `kernel=` is retired codec residue: `arena` and `legacy` both
+    /// parse to the spec the label names without the token, emission
+    /// never writes it, and a duplicate or unknown value is still
+    /// rejected.
+    #[test]
+    fn kernel_token_is_a_parse_no_op(
+        n_good in 1usize..10_000,
+        seed in any::<u64>(),
+        churn in 0.0f64..0.45,
+        cap in proptest::option::of(1u64..1u64 << 24),
+        actor in any::<bool>(),
+        legacy in any::<bool>(),
+    ) {
+        let mut spec = ScenarioSpec::new(n_good, seed).churn(churn);
+        if let Some(c) = cap {
+            spec = spec.capacity(c as usize);
+        }
+        if actor {
+            spec = spec.runtime(RuntimeChoice::Actor);
+        }
+        let label = spec.label();
+        prop_assert!(!label.contains("kernel="), "kernel is never emitted: {}", label);
+        prop_assert!(!spec.to_json().contains("kernel"), "kernel is never emitted to JSON");
+        let token = if legacy { "legacy" } else { "arena" };
+        let with_token = format!("{label};kernel={token}");
+        prop_assert_eq!(ScenarioSpec::parse(&with_token), Ok(spec.clone()));
+        prop_assert_eq!(ScenarioSpec::parse(&with_token).unwrap().label(), label.clone());
+        for bad in [
+            format!("{label};kernel=arena;kernel=legacy"),
+            format!("{with_token};kernel={token}"),
+            format!("{label};kernel=simd"),
+            format!("{label};kernel="),
+        ] {
+            prop_assert!(ScenarioSpec::parse(&bad).is_err(), "must reject: {}", bad);
         }
     }
 
@@ -338,6 +371,19 @@ proptest! {
             prop_assert_eq!(StringAdversarySpec::decode(bad), None, "accepted `{}`", bad);
         }
     }
+}
+
+/// The `scale` benchmark template (10⁴ identities, `kernel=arena`,
+/// `cap=10000`) still parses, to the spec without its kernel token.
+#[test]
+fn benchmark_scale_template_parses() {
+    let label = "tg1;n=9500;bad=500;seed=42;searches=16;kind=d2b;mode=dual;\
+defense=none;strings=protocol;strategy=honest;idealized=true;beta=0.05;delta=0.25;d1=2;d2=4;\
+rule=loglog;churn=0.1;attack=0;retries=2;kernel=arena;cap=10000";
+    let spec = ScenarioSpec::parse(label).expect("the scale template parses");
+    assert_eq!(spec.capacity, Some(10_000));
+    assert_eq!(spec.kind, GraphKind::D2B);
+    assert_eq!(spec.label(), label.replace(";kernel=arena", ""));
 }
 
 /// One shared store for the observation round-trip cases (a fresh

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tg_core::dynamic::{BuildMode, DynamicSystem, UniformProvider};
-use tg_core::{build_initial_graph, search_path, Color, Params, Population};
+use tg_core::{build_initial_graph, search_path, Color, GroupGraphView, Params, Population};
 use tg_crypto::OracleFamily;
 use tg_idspace::Id;
 use tg_overlay::GraphKind;
@@ -96,18 +96,23 @@ proptest! {
         params.churn_rate = 0.1;
         params.attack_requests_per_id = 0;
         let mut provider = UniformProvider { n_good: 150, n_bad: 8 };
-        let mut sys =
-            DynamicSystem::new(params, GraphKind::D2B, BuildMode::DualGraph, &mut provider, seed);
+        let mut sys = DynamicSystem::new(
+            params,
+            GraphKind::D2B,
+            BuildMode::DualGraph,
+            &mut provider,
+            seed,
+            None,
+        );
         sys.searches_per_epoch = 20;
-        let pool_ring_before = sys.graphs[0].leaders.ring().clone();
+        let pool_ring_before = sys.graphs.leaders.ring().clone();
         let _ = sys.advance_epoch(&mut provider);
-        for g in &sys.graphs {
+        prop_assert_eq!(sys.graphs.pool.ring(), &pool_ring_before);
+        for g in sys.graphs.view().iter() {
             prop_assert_eq!(g.len(), 158);
-            prop_assert_eq!(g.pool.ring(), &pool_ring_before);
-            for (i, group) in g.groups.iter().enumerate() {
-                prop_assert_eq!(group.leader as usize, i);
-                for &m in &group.members {
-                    prop_assert!((m as usize) < g.pool.len());
+            for i in 0..g.len() {
+                for &m in g.group_members(i) {
+                    prop_assert!((m as usize) < g.pool().len());
                 }
             }
         }

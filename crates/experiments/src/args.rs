@@ -6,10 +6,8 @@
 //! `--only e10,e11,e12` (run a subset), `--list` (print the
 //! experiment registry and exit — both consumed by `run_all`; the
 //! single-experiment binaries accept and ignore them so one flag set
-//! can be passed around scripts unchanged), `--kernel legacy|arena`
-//! (which epoch kernel drives the simulated systems — identical results
-//! either way; `arena` is the scale path e13 benchmarks), and
-//! `--runtime sync|actor` (which epoch runtime advances them —
+//! can be passed around scripts unchanged), `--runtime sync|actor`
+//! (which epoch runtime advances the simulated systems —
 //! identical results over the actor runtime's default perfect
 //! transport; e14 is the faulty-transport sweep), `--transport
 //! mem|socket` (which transport carries the actor runtime's protocol
@@ -18,14 +16,14 @@
 //! construction), and `--store <dir>`
 //! (a content-addressed result store: sweeps replay cells whose
 //! observation streams are already stored and publish the ones they
-//! simulate, making warm re-runs cheap and long ladders resumable), and
+//! simulate, making warm re-runs cheap and long sweeps resumable), and
 //! `--check-invariants` (wrap every driver the experiment builds in
 //! `tg_verify::CheckedDriver`, evaluating the named paper invariants
 //! after every epoch and panicking with a reproduction line on the
 //! first violation — observations are unchanged, only checked).
 
 use tg_core::runtime::RuntimeChoice;
-use tg_core::scenario::{KernelChoice, TransportChoice};
+use tg_core::scenario::TransportChoice;
 
 /// Parsed command-line options.
 #[derive(Clone, Debug)]
@@ -44,8 +42,6 @@ pub struct Options {
     /// Print the experiment registry (name + one-line description) and
     /// exit 0 instead of running anything (`run_all --list`).
     pub list: bool,
-    /// Which epoch kernel drives the simulated systems.
-    pub kernel: KernelChoice,
     /// Which epoch runtime advances them (synchronous in-process vs
     /// actor message passing).
     pub runtime: RuntimeChoice,
@@ -57,7 +53,7 @@ pub struct Options {
     /// Directory of the content-addressed result store
     /// ([`tg_sim::store`]). When set, sweeps replay any cell whose
     /// observation stream is already stored and publish the streams of
-    /// cells they simulate — warm re-runs and resumed ladders skip the
+    /// cells they simulate — warm re-runs and resumed sweeps skip the
     /// work already on disk. `None` (the default) runs everything live.
     pub store: Option<String>,
     /// Evaluate the `tg_verify` invariant registry after every epoch of
@@ -78,7 +74,6 @@ impl Default for Options {
             quiet: false,
             only: None,
             list: false,
-            kernel: KernelChoice::default(),
             runtime: RuntimeChoice::default(),
             transport: TransportChoice::default(),
             store: None,
@@ -119,11 +114,6 @@ impl Options {
                         usage("--only needs a comma-separated experiment list");
                     }
                     opts.only = Some(names);
-                }
-                "--kernel" => {
-                    let v = it.next().unwrap_or_else(|| usage("--kernel needs a value"));
-                    opts.kernel = KernelChoice::parse(&v)
-                        .unwrap_or_else(|| usage("--kernel must be legacy or arena"));
                 }
                 "--runtime" => {
                     let v = it.next().unwrap_or_else(|| usage("--runtime needs a value"));
@@ -179,8 +169,8 @@ fn usage(msg: &str) -> ! {
     }
     eprintln!(
         "usage: <experiment> [--seed N] [--full] [--out DIR] [--quiet] [--only e10,e11,e12] \
-         [--list] [--kernel legacy|arena] [--runtime sync|actor] [--transport mem|socket] \
-         [--store DIR] [--check-invariants]"
+         [--list] [--runtime sync|actor] [--transport mem|socket] [--store DIR] \
+         [--check-invariants]"
     );
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }
@@ -215,13 +205,6 @@ mod tests {
     fn list_flag_parses() {
         assert!(parse(&["--list"]).list);
         assert!(!parse(&[]).list);
-    }
-
-    #[test]
-    fn kernel_flag_parses() {
-        assert_eq!(parse(&[]).kernel, KernelChoice::Legacy);
-        assert_eq!(parse(&["--kernel", "arena"]).kernel, KernelChoice::Arena);
-        assert_eq!(parse(&["--kernel", "legacy"]).kernel, KernelChoice::Legacy);
     }
 
     #[test]

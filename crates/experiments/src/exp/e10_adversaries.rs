@@ -30,9 +30,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use tg_core::routing::dual_search;
 use tg_core::runtime::RuntimeChoice;
-use tg_core::scenario::{
-    Defense, KernelChoice, ScenarioSpec, StrategySpec, StringMode, TransportChoice,
-};
+use tg_core::scenario::{Defense, ScenarioSpec, StrategySpec, StringMode, TransportChoice};
 use tg_core::{GraphsView, GroupGraphView, Params};
 use tg_idspace::{Id, RingDistance};
 use tg_pow::MintScheme;
@@ -93,7 +91,6 @@ fn cell_spec(
     n_bad: usize,
     searches: usize,
     cell_seed: u64,
-    kernel: KernelChoice,
     runtime: RuntimeChoice,
     transport: TransportChoice,
 ) -> ScenarioSpec {
@@ -102,7 +99,6 @@ fn cell_spec(
         .budget(n_bad)
         .strings(StringMode::Synthesized)
         .searches(searches)
-        .kernel(kernel)
         .runtime(runtime)
         .transport(transport)
 }
@@ -141,14 +137,13 @@ fn run_cell(
     epochs: usize,
     searches: usize,
     seed: u64,
-    kernel: KernelChoice,
     runtime: RuntimeChoice,
     transport: TransportChoice,
     check_invariants: bool,
 ) -> Vec<Vec<String>> {
     let pipeline_idx = PIPELINES.iter().position(|&p| p == pipeline).unwrap() as u64;
     let cell_seed = tg_sim::derive_seed(seed, strategy, pipeline_idx);
-    let spec = cell_spec(n_good, n_bad, searches, cell_seed, kernel, runtime, transport)
+    let spec = cell_spec(n_good, n_bad, searches, cell_seed, runtime, transport)
         .strategy(cell_strategy(strategy, cell_seed ^ 0xE10, n_bad))
         .defense(cell_defense(pipeline));
     let mut sys = crate::checked::build_driver(&spec, check_invariants);
@@ -201,14 +196,12 @@ pub fn run(opts: &Options) -> Vec<Table> {
         }
     }
     let seed = opts.seed;
-    let kernel = opts.kernel;
     let runtime = opts.runtime;
     let transport = opts.transport;
     let check = opts.check_invariants;
     let results = tg_sim::parallel_map(cells, move |(strategy, pipeline)| {
         run_cell(
-            strategy, pipeline, n_good, n_bad, epochs, searches, seed, kernel, runtime, transport,
-            check,
+            strategy, pipeline, n_good, n_bad, epochs, searches, seed, runtime, transport, check,
         )
     });
     for rows in results {
@@ -232,7 +225,7 @@ pub fn run(opts: &Options) -> Vec<Table> {
     );
     let hoard_rows = tg_sim::parallel_map(vec![true, false], move |fresh| {
         let cell_seed = tg_sim::derive_seed(seed, "e10-hoard", fresh as u64);
-        let spec = cell_spec(n_good, n_bad, searches, cell_seed, kernel, runtime, transport)
+        let spec = cell_spec(n_good, n_bad, searches, cell_seed, runtime, transport)
             .strategy(cell_strategy("precompute-hoarder", cell_seed ^ 0xB0A, n_bad))
             .defense(Defense::Pow { scheme: MintScheme::TwoHash, fresh_strings: fresh });
         let mut sys = crate::checked::build_driver(&spec, check);
@@ -267,7 +260,6 @@ mod tests {
 
     fn opts() -> Options {
         Options {
-            kernel: Default::default(),
             runtime: Default::default(),
             seed: 42,
             full: false,

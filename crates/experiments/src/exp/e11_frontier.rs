@@ -66,7 +66,7 @@ pub fn config(opts: &Options) -> FrontierConfig {
             trials: 3,
             searches: 400,
             seed: opts.seed,
-            kernel: opts.kernel,
+            kernel: Default::default(),
             runtime: opts.runtime,
             transport: opts.transport,
             store: opts.open_store(),
@@ -85,7 +85,7 @@ pub fn config(opts: &Options) -> FrontierConfig {
             trials: 1,
             searches: 100,
             seed: opts.seed,
-            kernel: opts.kernel,
+            kernel: Default::default(),
             runtime: opts.runtime,
             transport: opts.transport,
             store: opts.open_store(),
@@ -115,7 +115,6 @@ mod tests {
     fn opts() -> Options {
         Options {
             seed: 42,
-            kernel: Default::default(),
             runtime: Default::default(),
             full: false,
             out_dir: "/tmp".into(),

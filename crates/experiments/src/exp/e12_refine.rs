@@ -79,7 +79,7 @@ pub fn config(opts: &Options) -> RefineConfig {
             trials: 3,
             searches: 300,
             seed: opts.seed,
-            kernel: opts.kernel,
+            kernel: Default::default(),
             runtime: opts.runtime,
             transport: opts.transport,
             store: opts.open_store(),
@@ -98,7 +98,7 @@ pub fn config(opts: &Options) -> RefineConfig {
             trials: 1,
             searches: 60,
             seed: opts.seed,
-            kernel: opts.kernel,
+            kernel: Default::default(),
             runtime: opts.runtime,
             transport: opts.transport,
             store: opts.open_store(),
@@ -130,7 +130,6 @@ mod tests {
     fn opts() -> Options {
         Options {
             seed: 42,
-            kernel: Default::default(),
             runtime: Default::default(),
             full: false,
             out_dir: "/tmp".into(),

@@ -1,26 +1,18 @@
 //! **E13 — epoch-kernel throughput at scale** (the million-identity
-//! sweep behind the arena/SoA redesign).
+//! sweep behind the arena/SoA kernel).
 //!
 //! Every other experiment asks *what* the reconstructed system computes;
 //! this one asks *how fast* the epoch hot path turns identities into
 //! group graphs. A ladder of population rungs drives the honest dynamic
-//! scenario through both epoch kernels:
+//! scenario through the epoch kernel (one contiguous member column per
+//! side, membership as range scans, group fan-out through deterministic
+//! chunking) and measures wall clock: epochs/second and
+//! identities/second per rung. Every rung is timed live; a replayed
+//! wall time is not a measurement. Quick mode climbs to 5·10³
+//! identities so the CI smoke step stays in seconds; `--full` climbs to
+//! the titular 10⁶-identity rung.
 //!
-//! * `legacy` — the original per-group `Vec` storage (the conformance
-//!   oracle every equivalence test replays against),
-//! * `arena` — the flat arena/SoA kernel: one contiguous member column
-//!   per side, membership as range scans, group fan-out through
-//!   deterministic chunking.
-//!
-//! The kernels are observation-identical by construction (pinned by the
-//! equivalence proptests and the golden replays), so the only thing
-//! this sweep measures is wall clock: epochs/second and
-//! identities/second per rung. Quick mode climbs to 10⁴ identities so
-//! the CI smoke step stays in seconds; `--full` climbs the arena kernel
-//! to the titular 10⁶-identity rung (the legacy kernel stops at 10⁵ —
-//! its per-group allocation pattern is exactly what the arena replaced).
-//!
-//! Besides the CSV table, the run serializes the largest arena rung as
+//! Besides the CSV table, the run serializes the largest rung as
 //! `BENCH_kernel.json` in the output directory — the machine-readable
 //! record the bench-trajectory CI step archives and diffs (the
 //! `wall_ms_per_cell_run` key is the shared trajectory convention; for
@@ -42,10 +34,10 @@ pub const SCALE_BETA: f64 = 0.05;
 /// the kernel's, not the sampler's.
 const SCALE_SEARCHES: usize = 16;
 
-/// One ladder rung: a kernel at a population size for a few epochs.
+/// One ladder rung: a population size for a few epochs.
 #[derive(Clone, Copy, Debug)]
 pub struct Rung {
-    /// Which epoch kernel runs the rung.
+    /// Fixed at [`KernelChoice::Arena`]; kept for `perfbench`.
     pub kernel: KernelChoice,
     /// Good identities per epoch (`n_bad` derives from [`SCALE_BETA`]).
     pub n_good: usize,
@@ -60,28 +52,15 @@ impl Rung {
     }
 }
 
-/// The ladder for the given options. Quick mode pairs both kernels on
-/// small rungs (CI smoke); `--full` extends the arena kernel to the
-/// 10⁶-identity rung (`n_good = 950 000` + 50 000 adversarial = 10⁶
-/// exactly).
+/// The ladder for the given options: small rungs in quick mode (CI
+/// smoke); `--full` climbs to the 10⁶-identity rung (`n_good =
+/// 950 000` + 50 000 adversarial = 10⁶ exactly).
 pub fn rungs(opts: &Options) -> Vec<Rung> {
-    let rung = |kernel, n_good, epochs| Rung { kernel, n_good, epochs };
+    let rung = |n_good, epochs| Rung { kernel: KernelChoice::Arena, n_good, epochs };
     if opts.full {
-        vec![
-            rung(KernelChoice::Legacy, 9_500, 3),
-            rung(KernelChoice::Arena, 9_500, 3),
-            rung(KernelChoice::Legacy, 95_000, 2),
-            rung(KernelChoice::Arena, 95_000, 2),
-            rung(KernelChoice::Arena, 285_000, 2),
-            rung(KernelChoice::Arena, 950_000, 2),
-        ]
+        vec![rung(9_500, 3), rung(95_000, 2), rung(285_000, 2), rung(950_000, 2)]
     } else {
-        vec![
-            rung(KernelChoice::Legacy, 1_900, 3),
-            rung(KernelChoice::Arena, 1_900, 3),
-            rung(KernelChoice::Legacy, 4_750, 2),
-            rung(KernelChoice::Arena, 4_750, 2),
-        ]
+        vec![rung(1_900, 3), rung(4_750, 2)]
     }
 }
 
@@ -116,7 +95,7 @@ impl RungResult {
 
 /// The scenario one rung drives: the honest dynamic system over D2B
 /// (the paper's expander family — route lengths stress the kernel more
-/// than Chord's) with the rung's kernel and an exact capacity hint.
+/// than Chord's) with an exact capacity hint.
 pub fn rung_spec(rung: &Rung, seed: u64) -> ScenarioSpec {
     ScenarioSpec::new(rung.n_good, seed)
         .beta(SCALE_BETA)
@@ -124,56 +103,17 @@ pub fn rung_spec(rung: &Rung, seed: u64) -> ScenarioSpec {
         .attack_requests(0)
         .topology(GraphKind::D2B)
         .searches(SCALE_SEARCHES)
-        .kernel(rung.kernel)
         .capacity(rung.n_total())
 }
 
-/// Time every rung, sequentially (each rung's epoch loop parallelizes
-/// internally; running rungs back to back keeps the clocks honest).
-pub fn measure(rungs: &[Rung], seed: u64) -> Vec<RungResult> {
-    measure_stored(rungs, seed, None, false).into_iter().map(|(r, _)| r).collect()
-}
-
-/// Store key of one rung's timing record: the rung's scenario label
-/// (which pins kernel, population, seed, capacity) plus its epoch
-/// count, under an `e13` tag so timing records never collide with
-/// observation streams.
-fn rung_store_key(rung: &Rung, seed: u64) -> String {
-    format!("e13;{};epochs={}", rung_spec(rung, seed).label(), rung.epochs)
-}
-
-/// [`measure`], consulting a result store so an interrupted ladder
-/// resumes mid-way: rungs whose timing record is already stored are
-/// replayed (the paired flag is `true`), the rest run live and publish
-/// their record. Timing records use the `t1` line codec
-/// (`t1,<build_ms>,<wall_ms>`, floats via `Display` for exactness).
-pub fn measure_stored(
-    rungs: &[Rung],
-    seed: u64,
-    store: Option<&tg_sim::ResultStore>,
-    check_invariants: bool,
-) -> Vec<(RungResult, bool)> {
+/// Time every rung live, sequentially (each rung's epoch loop
+/// parallelizes internally; running rungs back to back keeps the clocks
+/// honest). `check_invariants` wraps each driver in the invariant
+/// checker.
+pub fn measure(rungs: &[Rung], seed: u64, check_invariants: bool) -> Vec<RungResult> {
     rungs
         .iter()
         .map(|&rung| {
-            let key = store.map(|_| rung_store_key(&rung, seed));
-            if let (Some(store), Some(key)) = (store, key.as_ref()) {
-                match store.get(key) {
-                    Ok(Some(records)) => {
-                        let rec = records.first().map(String::as_str).unwrap_or("");
-                        let parsed: Option<(f64, f64)> = rec.strip_prefix("t1,").and_then(|body| {
-                            let (b, w) = body.split_once(',')?;
-                            Some((b.parse().ok()?, w.parse().ok()?))
-                        });
-                        if let Some((build_ms, wall_ms)) = parsed {
-                            return (RungResult { rung, build_ms, wall_ms }, true);
-                        }
-                        eprintln!("warning: unreadable timing record for `{key}`; re-timing");
-                    }
-                    Ok(None) => {}
-                    Err(e) => panic!("{e}"),
-                }
-            }
             let spec = rung_spec(&rung, seed);
             let t0 = Instant::now();
             let mut driver = crate::checked::build_driver(&spec, check_invariants);
@@ -181,12 +121,7 @@ pub fn measure_stored(
             let t0 = Instant::now();
             driver.run(rung.epochs);
             let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-            if let (Some(store), Some(key)) = (store, key.as_ref()) {
-                if let Err(e) = store.put(key, &[format!("t1,{build_ms},{wall_ms}")]) {
-                    eprintln!("warning: {e}");
-                }
-            }
-            (RungResult { rung, build_ms, wall_ms }, false)
+            RungResult { rung, build_ms, wall_ms }
         })
         .collect()
 }
@@ -202,7 +137,7 @@ pub fn kernel_record_json(mode: &str, r: &RungResult, unix_time: u64) -> String 
             "{{\n",
             "  \"bench\": \"e13_scale\",\n",
             "  \"mode\": \"{}\",\n",
-            "  \"kernel\": \"{}\",\n",
+            "  \"kernel\": \"arena\",\n",
             "  \"n_identities\": {},\n",
             "  \"epochs\": {},\n",
             "  \"build_ms\": {:.3},\n",
@@ -214,7 +149,6 @@ pub fn kernel_record_json(mode: &str, r: &RungResult, unix_time: u64) -> String 
             "}}\n"
         ),
         mode,
-        r.rung.kernel.label(),
         r.rung.n_total(),
         r.rung.epochs,
         r.build_ms,
@@ -226,24 +160,21 @@ pub fn kernel_record_json(mode: &str, r: &RungResult, unix_time: u64) -> String 
     )
 }
 
-/// The record rung: the largest arena rung of the ladder (the number
-/// the ISSUE's acceptance reads at `--full` scale).
+/// The record rung: the largest rung of the ladder (the 10⁶-identity
+/// rung at `--full` scale).
 pub fn record_rung(results: &[RungResult]) -> Option<&RungResult> {
-    results.iter().filter(|r| r.rung.kernel == KernelChoice::Arena).max_by_key(|r| r.rung.n_total())
+    results.iter().max_by_key(|r| r.rung.n_total())
 }
 
 /// Run E13: time the ladder, write `BENCH_kernel.json` next to the
 /// CSVs, and return the throughput table.
 pub fn run(opts: &Options) -> Table {
-    let store = opts.open_store();
-    let timed = measure_stored(&rungs(opts), opts.seed, store.as_ref(), opts.check_invariants);
+    let results = measure(&rungs(opts), opts.seed, opts.check_invariants);
     let mut table = Table::new(
         "e13_scale",
         &[
-            "kernel",
             "n_identities",
             "epochs",
-            "source",
             "build_ms",
             "wall_ms",
             "ms_per_epoch",
@@ -251,12 +182,10 @@ pub fn run(opts: &Options) -> Table {
             "identities_per_sec",
         ],
     );
-    for (r, cached) in &timed {
+    for r in &results {
         table.push(vec![
-            r.rung.kernel.label().to_string(),
             r.rung.n_total().to_string(),
             r.rung.epochs.to_string(),
-            if *cached { "store" } else { "live" }.to_string(),
             f(r.build_ms),
             f(r.wall_ms),
             f(r.ms_per_epoch()),
@@ -264,7 +193,6 @@ pub fn run(opts: &Options) -> Table {
             f(r.identities_per_sec()),
         ]);
     }
-    let results: Vec<RungResult> = timed.iter().map(|(r, _)| *r).collect();
     if let Some(best) = record_rung(&results) {
         let unix = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
@@ -290,11 +218,6 @@ pub fn run(opts: &Options) -> Table {
             Err(e) => crate::artifacts::note_dropped("BENCH_kernel.json", &e),
         }
     }
-    if let Some(store) = &store {
-        if let Err(e) = store.write_index() {
-            eprintln!("warning: could not write store index: {e}");
-        }
-    }
     table
 }
 
@@ -306,36 +229,29 @@ mod tests {
         Options { full, quiet: true, ..Options::default() }
     }
 
-    /// Quick mode stays CI-sized and pairs the kernels rung for rung so
-    /// the table always carries a direct legacy-vs-arena contrast.
+    /// Quick mode stays CI-sized.
     #[test]
-    fn quick_ladder_is_paired_and_small() {
+    fn quick_ladder_is_small() {
         let ladder = rungs(&opts(false));
+        assert!(!ladder.is_empty());
         assert!(ladder.iter().all(|r| r.n_total() <= 10_000), "quick rungs stay CI-sized");
-        for ns in ladder.chunks(2) {
-            assert_eq!(ns[0].n_good, ns[1].n_good, "kernels paired at each size");
-            assert_eq!(ns[0].kernel, KernelChoice::Legacy);
-            assert_eq!(ns[1].kernel, KernelChoice::Arena);
-        }
     }
 
-    /// `--full` tops out at exactly the titular million identities, on
-    /// the arena kernel.
+    /// `--full` tops out at exactly the titular million identities.
     #[test]
     fn full_ladder_reaches_one_million_identities() {
         let ladder = rungs(&opts(true));
         let top = ladder.iter().max_by_key(|r| r.n_total()).expect("non-empty ladder");
         assert_eq!(top.n_total(), 1_000_000);
-        assert_eq!(top.kernel, KernelChoice::Arena);
     }
 
     /// The trajectory record carries the shared comparator key plus the
-    /// throughput fields, and picks the largest arena rung.
+    /// throughput fields, and picks the largest rung.
     #[test]
     fn kernel_record_has_trajectory_keys() {
         let results = vec![
             RungResult {
-                rung: Rung { kernel: KernelChoice::Legacy, n_good: 9_500, epochs: 2 },
+                rung: Rung { kernel: KernelChoice::Arena, n_good: 9_500, epochs: 2 },
                 build_ms: 10.0,
                 wall_ms: 50.0,
             },
@@ -345,12 +261,12 @@ mod tests {
                 wall_ms: 400.0,
             },
             RungResult {
-                rung: Rung { kernel: KernelChoice::Arena, n_good: 9_500, epochs: 2 },
+                rung: Rung { kernel: KernelChoice::Arena, n_good: 95_000, epochs: 2 },
                 build_ms: 8.0,
                 wall_ms: 30.0,
             },
         ];
-        let best = record_rung(&results).expect("arena rung present");
+        let best = record_rung(&results).expect("non-empty ladder");
         assert_eq!(best.rung.n_total(), 1_000_000);
         let json = kernel_record_json("full", best, 1_700_000_000);
         for key in [
@@ -370,35 +286,12 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with("}\n"), "one flat JSON object");
     }
 
-    /// A warm ladder replays every stored timing record instead of
-    /// re-timing — the resumable-mid-ladder property: a partial cold
-    /// pass leaves records the next pass skips.
-    #[test]
-    fn stored_ladder_resumes_without_retiming() {
-        let dir = std::env::temp_dir().join(format!("tg-e13-store-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = tg_sim::ResultStore::open(&dir).unwrap();
-        let ladder = [
-            Rung { kernel: KernelChoice::Legacy, n_good: 380, epochs: 2 },
-            Rung { kernel: KernelChoice::Arena, n_good: 380, epochs: 2 },
-        ];
-        // Cold half-ladder: only the first rung gets recorded.
-        let cold = measure_stored(&ladder[..1], 42, Some(&store), false);
-        assert!(cold.iter().all(|(_, cached)| !cached), "first pass is all live");
-        // Resumed full ladder: rung 0 replays, rung 1 runs live.
-        let warm = measure_stored(&ladder, 42, Some(&store), false);
-        assert!(warm[0].1, "recorded rung is replayed");
-        assert!(!warm[1].1, "new rung runs live");
-        assert_eq!(warm[0].0.build_ms, cold[0].0.build_ms);
-        assert_eq!(warm[0].0.wall_ms, cold[0].0.wall_ms);
-    }
-
     /// A miniature rung actually runs through the measurement path and
     /// produces positive, consistent rates.
     #[test]
     fn measurement_produces_positive_rates() {
         let ladder = [Rung { kernel: KernelChoice::Arena, n_good: 380, epochs: 2 }];
-        let results = measure(&ladder, 42);
+        let results = measure(&ladder, 42, false);
         assert_eq!(results.len(), 1);
         let r = &results[0];
         assert!(r.wall_ms > 0.0 && r.build_ms > 0.0);

@@ -137,9 +137,9 @@ pub fn run_cell(cell: FaultCell, opts: &Options, epochs: usize, trials: u64) -> 
 /// [`run_cell`], consulting a result store: each trial's observation
 /// stream is keyed by its scenario label (which carries the fault
 /// knobs, population, and seed) plus the epoch count — stored trials
-/// replay, missing trials simulate and publish. The paired count says
-/// how many trials ran live, so an interrupted full sweep resumes
-/// mid-grid paying only for the cells it never finished.
+/// replay, missing or damaged ones simulate and publish. The paired
+/// count says how many trials ran live, so an interrupted full sweep
+/// resumes mid-grid paying only for the cells it never finished.
 pub fn run_cell_stored(
     cell: FaultCell,
     opts: &Options,
@@ -154,31 +154,9 @@ pub fn run_cell_stored(
         let seed = tg_sim::derive_seed(opts.seed, "e14-trial", trial);
         let spec = cell_spec(cell, opts, seed);
         let key = store.map(|_| crate::frontier::trial_store_key(&spec, epochs));
-        let mut rows: Option<Vec<ObsRow>> = None;
-        if let (Some(store), Some(key)) = (store, key.as_ref()) {
-            match store.get(key) {
-                Ok(Some(records)) => {
-                    assert_eq!(
-                        records.len(),
-                        epochs,
-                        "stored stream for `{key}` has the wrong epoch count"
-                    );
-                    rows = Some(
-                        records
-                            .iter()
-                            .enumerate()
-                            .map(|(i, rec)| {
-                                ObsRow::decode_line(rec).unwrap_or_else(|e| {
-                                    panic!("store record {i} for `{key}` does not decode: {e}")
-                                })
-                            })
-                            .collect(),
-                    );
-                }
-                Ok(None) => {}
-                Err(e) => panic!("{e}"),
-            }
-        }
+        let rows = store
+            .zip(key.as_deref())
+            .and_then(|(store, key)| crate::frontier::stored_rows(store, key, epochs));
         let rows = rows.unwrap_or_else(|| {
             live += 1;
             let mut sys = crate::checked::build_driver(&spec, opts.check_invariants);

@@ -128,7 +128,6 @@ fn strategy_sweep(
                 .strategy(strategy)
                 .defense(defense)
                 .searches(if opts.full { 120 } else { 60 })
-                .kernel(opts.kernel)
                 .runtime(opts.runtime)
                 .transport(opts.transport);
             let mut driver = CheckedDriver::build(&spec)

@@ -102,7 +102,6 @@ mod tests {
     #[test]
     fn e1_smoke() {
         let opts = Options {
-            kernel: Default::default(),
             runtime: Default::default(),
             seed: 1,
             full: false,

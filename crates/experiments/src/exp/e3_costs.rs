@@ -153,7 +153,6 @@ mod tests {
     #[test]
     fn tiny_groups_cost_less_and_route_as_well() {
         let opts = Options {
-            kernel: Default::default(),
             runtime: Default::default(),
             seed: 5,
             full: false,

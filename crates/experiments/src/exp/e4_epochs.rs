@@ -65,7 +65,6 @@ pub fn run(opts: &Options) -> Table {
             .link_retries(retries)
             .build_mode(mode)
             .searches(if opts.full { 800 } else { 400 })
-            .kernel(opts.kernel)
             .runtime(opts.runtime)
             .transport(opts.transport);
         let mut sys = crate::checked::build_driver(&spec, opts.check_invariants);

@@ -40,7 +40,6 @@ pub fn run(opts: &Options) -> Table {
             .attack_requests(attack)
             .topology(GraphKind::D2B)
             .searches(200)
-            .kernel(opts.kernel)
             .runtime(opts.runtime)
             .transport(opts.transport);
         let mut sys = crate::checked::build_driver(&spec, opts.check_invariants);
@@ -75,7 +74,6 @@ mod tests {
     #[test]
     fn attack_barely_moves_state() {
         let opts = Options {
-            kernel: Default::default(),
             runtime: Default::default(),
             seed: 7,
             full: false,

@@ -113,7 +113,6 @@ mod tests {
     #[test]
     fn minting_rows_have_ratio_near_one_and_attack_contrast() {
         let opts = Options {
-            kernel: Default::default(),
             runtime: Default::default(),
             seed: 42,
             full: false,

@@ -86,7 +86,6 @@ mod tests {
     #[test]
     fn all_scenarios_agree_and_sets_stay_logarithmic() {
         let opts = Options {
-            kernel: Default::default(),
             runtime: Default::default(),
             seed: 13,
             full: false,

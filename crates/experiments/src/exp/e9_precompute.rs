@@ -52,7 +52,6 @@ mod tests {
     #[test]
     fn amplification_tracks_hoard_length() {
         let opts = Options {
-            kernel: Default::default(),
             runtime: Default::default(),
             seed: 17,
             full: false,

@@ -55,7 +55,6 @@ mod tests {
     fn figure1_writes_dot_files() {
         let dir = std::env::temp_dir().join("tg-figure1-test");
         let opts = Options {
-            kernel: Default::default(),
             runtime: Default::default(),
             seed: 21,
             full: false,

@@ -115,7 +115,7 @@ pub const REGISTRY: [Experiment; 16] = [
     },
     Experiment {
         name: "e13",
-        description: "Kernel throughput ladder: legacy vs arena epochs/sec up to 10⁶ identities",
+        description: "Kernel throughput ladder: epochs/sec and identities/sec up to 10⁶ identities",
         run: |o| e13_scale::run(o).emit(o),
     },
     Experiment {

@@ -141,7 +141,6 @@ impl RowKey {
             .defense(self.defense)
             .strategy(strategy_spec(self.strategy, trial_seed, budget))
             .searches(cfg.searches)
-            .kernel(cfg.kernel)
             .runtime(cfg.runtime)
             .transport(cfg.transport)
     }
@@ -172,9 +171,7 @@ pub struct FrontierConfig {
     pub searches: usize,
     /// Master seed; every trial derives its own grid stream from it.
     pub seed: u64,
-    /// Which epoch kernel runs each cell (legacy per-group or arena/SoA
-    /// — byte-identical observations, so the choice never moves a
-    /// frontier; it is swept by the throughput experiment, not here).
+    /// Fixed at [`KernelChoice::Arena`]; kept for `perfbench`.
     pub kernel: KernelChoice,
     /// Which epoch runtime advances each cell. Over the actor runtime's
     /// default perfect transport this is byte-identical to `Sync`; the
@@ -268,10 +265,33 @@ fn batch_stats(batch: &ObservationBatch) -> TrialStats {
 }
 
 /// The store key of one trial's observation stream: the trial's full
-/// scenario label (which already carries seed, axes, kernel, runtime)
+/// scenario label (which already carries seed, axes, runtime)
 /// plus the epoch count the stream covers.
 pub fn trial_store_key(spec: &ScenarioSpec, epochs: usize) -> String {
     format!("{};epochs={epochs}", spec.label())
+}
+
+/// The stored observation stream for `key`, if the store holds an
+/// intact one of `epochs` rows. A damaged stream — unreadable, the
+/// wrong length, or a row that does not decode — is never replayed: it
+/// is reported once on stderr and treated as absent, so the caller
+/// recomputes it live and its `put` atomically replaces the bad stream.
+pub fn stored_rows(store: &ResultStore, key: &str, epochs: usize) -> Option<Vec<ObsRow>> {
+    let damage = match store.get(key) {
+        Ok(None) => return None,
+        Ok(Some(records)) if records.len() != epochs => {
+            format!("{} records, expected {epochs}", records.len())
+        }
+        Ok(Some(records)) => {
+            match records.iter().map(|r| ObsRow::decode_line(r)).collect::<Result<Vec<_>, _>>() {
+                Ok(rows) => return Some(rows),
+                Err(e) => format!("a record does not decode: {e}"),
+            }
+        }
+        Err(e) => e.to_string(),
+    };
+    eprintln!("warning: stored stream for `{key}` is unusable ({damage}); recomputing it live");
+    None
 }
 
 /// One seeded simulation of one cell: build the cell's scenario, drive
@@ -279,33 +299,20 @@ pub fn trial_store_key(spec: &ScenarioSpec, epochs: usize) -> String {
 /// average the per-epoch observations. Which system runs (the bare
 /// dynamic layer or the full epoch-string protocol) is the spec's
 /// business, not this loop's. With a store configured the trial's
-/// stream is fetched instead of simulated when present, and published
-/// after simulating when absent; the returned flag says whether the
-/// trial ran **live**. A corrupt stream panics — tampered results must
-/// never silently feed a sweep.
+/// stream is fetched instead of simulated when present and intact
+/// ([`stored_rows`]), and published after simulating otherwise; the
+/// returned flag says whether the trial ran **live**.
 fn run_trial(cfg: &FrontierConfig, key: &RowKey, beta: f64, trial_seed: u64) -> (TrialStats, bool) {
     let spec = key.scenario(cfg, beta, trial_seed);
     let epochs = cfg.epochs.max(1);
     if let Some(store) = &cfg.store {
         let skey = trial_store_key(&spec, epochs);
-        match store.get(&skey) {
-            Ok(Some(records)) => {
-                assert_eq!(
-                    records.len(),
-                    epochs,
-                    "stored stream for `{skey}` has the wrong epoch count"
-                );
-                let mut batch = ObservationBatch::new();
-                for (i, rec) in records.iter().enumerate() {
-                    let row = ObsRow::decode_line(rec).unwrap_or_else(|e| {
-                        panic!("store record {i} for `{skey}` does not decode: {e}")
-                    });
-                    batch.push(row);
-                }
-                return (batch_stats(&batch), false);
+        if let Some(rows) = stored_rows(store, &skey, epochs) {
+            let mut batch = ObservationBatch::new();
+            for row in rows {
+                batch.push(row);
             }
-            Ok(None) => {}
-            Err(e) => panic!("{e}"),
+            return (batch_stats(&batch), false);
         }
         let mut driver = crate::checked::build_driver(&spec, cfg.check_invariants);
         let batch = driver.run(epochs);

@@ -21,7 +21,7 @@
 //! | `e10_adversaries` | The adversary-strategy matrix: placement strategies × identity pipelines |
 //! | `e11_frontier` | The adversary-vs-defense frontier: β × d₂ capture heatmaps over the real `FullSystem` protocol |
 //! | `e12_refine` | Adaptive frontier refinement: bisected thresholds with confidence bands over the churn × topology axes |
-//! | `e13_scale` | Kernel throughput ladder: legacy vs arena epochs/sec up to 10⁶ identities |
+//! | `e13_scale` | Kernel throughput ladder: epochs/sec and identities/sec up to 10⁶ identities |
 //! | `e14_async` | Actor runtime under network faults: capture and search success vs drop rate × partition length |
 //! | `figure1` | Figure 1: the input graph and group graph panels |
 //! | `run_all` | Everything above via [`exp::REGISTRY`] (`--only` runs a subset, `--list` prints the registry) |

@@ -1,100 +1,33 @@
-//! Actor-runtime conformance against the committed golden corpus: the
-//! seed-42 snapshots under `tests/golden/` were produced by the
-//! synchronous epoch drivers, and this suite replays the same
-//! experiments with `--runtime actor` — every byte must reproduce.
-//!
-//! This is the strongest statement of the async runtime's contract: the
-//! epoch step decomposed into per-node actors exchanging protocol
-//! messages over the in-memory transport must, when that transport is
-//! *perfect* (no drops, no latency, no partitions — the defaults),
-//! deliver exactly what the synchronous step computes. The transport
-//! draws no RNG and delivers in send order, so the kernel streams and
-//! every observation byte are untouched; a drift here is always a bug
-//! in the actor runtime (a reordering, a stray rescale, a consumed
-//! random draw), never a stale file.
-//!
-//! Coverage mirrors `golden_arena.rs`: the honest dynamic layer (E4),
-//! the strategic no-PoW and minting pipelines (E10), the full
-//! epoch-string protocol frontier sweeps (E11/E12), and E1 as the
-//! static-layer control pinning that the runtime knob leaks nowhere
-//! outside the epoch path.
+//! Actor-runtime conformance: the actor×mem cell of the table-driven
+//! replay in `common/mod.rs`. The epoch step decomposed into per-node
+//! actors over a perfect in-memory transport must reproduce every byte
+//! of the committed seed-42 corpus.
 
-use tg_core::runtime::RuntimeChoice;
-use tg_experiments::exp::{e10_adversaries, e11_frontier, e12_refine, e1_robustness, e4_epochs};
-use tg_experiments::Options;
+mod common;
 
-fn golden_dir() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
-}
+use common::{replay, ACTOR_MEM};
 
-/// Compare `actual` against the committed sync-runtime snapshot.
-fn check_replay(name: &str, actual: &str) {
-    let path = golden_dir().join(name);
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("missing golden file {name} ({e}); regenerate via the sync suite first")
-    });
-    assert_eq!(
-        actual, expected,
-        "{name}: the actor runtime over a perfect transport drifted from the synchronous \
-         snapshot — the runtimes are required to be observation-identical, fix the actor \
-         path (do not regenerate)"
-    );
-}
-
-fn actor_opts() -> Options {
-    Options {
-        seed: 42,
-        full: false,
-        out_dir: "/tmp".into(),
-        quiet: true,
-        only: None,
-        list: false,
-        kernel: Default::default(),
-        runtime: RuntimeChoice::Actor,
-        transport: Default::default(),
-        store: None,
-        check_invariants: false,
-    }
-}
-
-/// E1 (static robustness): the runtime knob must be inert off the
-/// epoch path.
 #[test]
 fn e1_replays_byte_identically_on_actor() {
-    check_replay("e1_robustness.csv", &e1_robustness::run(&actor_opts()).to_csv());
+    replay(&[ACTOR_MEM], common::e1);
 }
 
-/// E4 (honest dynamic epochs + ablations) through the actor runtime.
 #[test]
 fn e4_replays_byte_identically_on_actor() {
-    check_replay("e4_epochs.csv", &e4_epochs::run(&actor_opts()).to_csv());
+    replay(&[ACTOR_MEM], common::e4);
 }
 
-/// E10 (strategy × pipeline sweep + §IV-B hoard) through the actor
-/// runtime — the strategic minting pipelines included.
 #[test]
 fn e10_replays_byte_identically_on_actor() {
-    let tables = e10_adversaries::run(&actor_opts());
-    check_replay("e10_adversaries.csv", &tables[0].to_csv());
-    check_replay("e10_hoard.csv", &tables[1].to_csv());
+    replay(&[ACTOR_MEM], common::e10);
 }
 
-/// E11 (frontier sweep over the full epoch-string protocol) through
-/// the actor runtime: cells, frontier map, and heatmaps.
 #[test]
 fn e11_replays_byte_identically_on_actor() {
-    let out = e11_frontier::run(&actor_opts());
-    check_replay("e11_frontier.csv", &out.cells.to_csv());
-    check_replay("e11_frontier_map.csv", &out.frontier.to_csv());
-    check_replay("e11_frontier_heatmap.txt", &out.heatmaps);
+    replay(&[ACTOR_MEM], common::e11);
 }
 
-/// E12 (adaptive refinement) through the actor runtime: the bisection
-/// trajectory itself must not move.
 #[test]
 fn e12_replays_byte_identically_on_actor() {
-    let out = e12_refine::run(&actor_opts());
-    check_replay("e12_refine_cells.csv", &out.cells.to_csv());
-    check_replay("e12_refine_map.csv", &out.frontier.to_csv());
-    check_replay("e12_refine_cost.csv", &out.cost.to_csv());
+    replay(&[ACTOR_MEM], common::e12);
 }

@@ -1,98 +1,35 @@
-//! Arena-kernel conformance against the committed golden corpus: the
-//! seed-42 snapshots under `tests/golden/` were produced by the legacy
-//! per-group epoch kernel, and this suite replays the same experiments
-//! with `--kernel arena` — every byte must reproduce.
-//!
-//! This is the strongest statement of the arena/SoA redesign's
-//! contract: not merely "the kernels agree on random small specs" (the
-//! equivalence proptests) but "the flat arena hot path regenerates the
-//! exact corpus the legacy kernel committed", across the honest dynamic
-//! layer (E4), the strategic no-PoW and minting pipelines (E10), and
-//! the full frontier sweeps over the real epoch-string protocol
-//! (E11/E12). E1 rides along as the static-layer control: its sweep
-//! never steps an epoch kernel, so it pins that the kernel knob leaks
-//! nowhere else.
-//!
-//! Unlike `golden.rs` this suite never regenerates: the point is byte
-//! equality with snapshots the *other* kernel wrote, so a drift here is
-//! always a bug in the arena kernel (or a kernel-dependent leak into
-//! the measurement path), never a stale file.
+//! Arena-kernel conformance: every epoch driver steps the arena kernel
+//! (`tg_core::dynamic::DynamicSystem`) directly, and this suite replays
+//! the base cell of the table-driven replay in `common/mod.rs` against
+//! the committed seed-42 corpus without ever regenerating it — so a
+//! `GOLDEN_REGEN` run of `golden.rs` that rewrites a snapshot the
+//! arena kernel cannot reproduce still fails here.
 
-use tg_core::scenario::KernelChoice;
-use tg_experiments::exp::{e10_adversaries, e11_frontier, e12_refine, e1_robustness, e4_epochs};
-use tg_experiments::Options;
+mod common;
 
-fn golden_dir() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
-}
+use common::{replay, SYNC};
 
-/// Compare `actual` against the committed legacy-kernel snapshot.
-fn check_replay(name: &str, actual: &str) {
-    let path = golden_dir().join(name);
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("missing golden file {name} ({e}); regenerate via the legacy suite first")
-    });
-    assert_eq!(
-        actual, expected,
-        "{name}: the arena kernel drifted from the legacy-kernel snapshot — the kernels are \
-         required to be observation-identical, fix the arena path (do not regenerate)"
-    );
-}
-
-fn arena_opts() -> Options {
-    Options {
-        seed: 42,
-        full: false,
-        out_dir: "/tmp".into(),
-        quiet: true,
-        only: None,
-        list: false,
-        kernel: KernelChoice::Arena,
-        runtime: Default::default(),
-        transport: Default::default(),
-        store: None,
-        check_invariants: false,
-    }
-}
-
-/// E1 (static robustness): the kernel knob must be inert off the epoch
-/// path.
 #[test]
 fn e1_replays_byte_identically_on_arena() {
-    check_replay("e1_robustness.csv", &e1_robustness::run(&arena_opts()).to_csv());
+    replay(&[SYNC], common::e1);
 }
 
-/// E4 (honest dynamic epochs + ablations) through the arena kernel.
 #[test]
 fn e4_replays_byte_identically_on_arena() {
-    check_replay("e4_epochs.csv", &e4_epochs::run(&arena_opts()).to_csv());
+    replay(&[SYNC], common::e4);
 }
 
-/// E10 (strategy × pipeline sweep + §IV-B hoard) through the arena
-/// kernel — the strategic minting pipelines included.
 #[test]
 fn e10_replays_byte_identically_on_arena() {
-    let tables = e10_adversaries::run(&arena_opts());
-    check_replay("e10_adversaries.csv", &tables[0].to_csv());
-    check_replay("e10_hoard.csv", &tables[1].to_csv());
+    replay(&[SYNC], common::e10);
 }
 
-/// E11 (frontier sweep over the full epoch-string protocol) through
-/// the arena kernel: cells, frontier map, and heatmaps.
 #[test]
 fn e11_replays_byte_identically_on_arena() {
-    let out = e11_frontier::run(&arena_opts());
-    check_replay("e11_frontier.csv", &out.cells.to_csv());
-    check_replay("e11_frontier_map.csv", &out.frontier.to_csv());
-    check_replay("e11_frontier_heatmap.txt", &out.heatmaps);
+    replay(&[SYNC], common::e11);
 }
 
-/// E12 (adaptive refinement) through the arena kernel: the bisection
-/// trajectory itself must not move.
 #[test]
 fn e12_replays_byte_identically_on_arena() {
-    let out = e12_refine::run(&arena_opts());
-    check_replay("e12_refine_cells.csv", &out.cells.to_csv());
-    check_replay("e12_refine_map.csv", &out.frontier.to_csv());
-    check_replay("e12_refine_cost.csv", &out.cost.to_csv());
+    replay(&[SYNC], common::e12);
 }

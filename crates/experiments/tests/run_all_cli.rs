@@ -1,6 +1,7 @@
 //! CLI contract of the `run_all` binary: `--list` prints the registry
 //! and exits 0 without running anything; `--only` validates its names
-//! against the same registry (exit 2 on an unknown name). Driven
+//! against the same registry (exit 2 on an unknown name); the retired
+//! `--kernel` flag is an unknown flag (exit 2). Driven
 //! through the real binary (`CARGO_BIN_EXE_run_all`), not a re-parse of
 //! the flags, so drift between the registry and the CLI surfaces here.
 
@@ -49,4 +50,12 @@ fn empty_selection_exits_two() {
     // parser rejects. Exercise the parser path.
     let out = run_all(&["--only", " , "]);
     assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
+fn retired_kernel_flag_exits_two() {
+    let out = run_all(&["--kernel", "arena"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 diagnostics");
+    assert!(stderr.contains("unknown flag --kernel"), "usage error names the flag: {stderr}");
 }

@@ -12,7 +12,6 @@ fn smoke_opts(name: &str) -> Options {
     let out = std::env::temp_dir().join(format!("tg-smoke-{name}-{}", std::process::id()));
     Options {
         seed: 42,
-        kernel: Default::default(),
         runtime: Default::default(),
         full: false,
         out_dir: out.to_str().expect("utf-8 temp path").to_string(),
@@ -182,18 +181,16 @@ fn e12_refine_smoke() {
     }
 }
 
-/// E13 acceptance shape (quick rungs): both kernels appear, every rung
-/// reports positive throughput, and the machine-readable trajectory
-/// record lands next to the CSV with the shared comparator key.
+/// E13 acceptance shape (quick rungs): every rung reports positive
+/// throughput, and the machine-readable trajectory record lands next to
+/// the CSV with the shared comparator key.
 #[test]
 fn e13_scale_smoke() {
     let opts = smoke_opts("e13");
     let table = e13_scale::run(&opts);
-    for kernel in ["legacy", "arena"] {
-        assert!(table.rows.iter().any(|r| r[0] == kernel), "missing {kernel} rungs");
-    }
+    assert!(!table.rows.is_empty(), "the quick ladder has rungs");
     for row in &table.rows {
-        let rate: f64 = row[7].parse().expect("identities_per_sec is numeric");
+        let rate: f64 = row[6].parse().expect("identities_per_sec is numeric");
         assert!(rate > 0.0, "non-positive throughput in {row:?}");
     }
     let record = std::path::Path::new(&opts.out_dir).join("BENCH_kernel.json");

@@ -7,7 +7,8 @@
 //! reproduce the *same bytes* with **zero** live cell-runs (strictly
 //! fewer than the cold pass), its cost ledger reporting every trial as
 //! a store hit. This doubles as the tier-1 warm-start smoke: CI runs it
-//! on every PR.
+//! on every PR. A damaged stream is neither replayed nor fatal: the
+//! warm run recomputes that trial live and rewrites its stream.
 
 use tg_experiments::exp::e12_refine;
 use tg_experiments::Options;
@@ -26,7 +27,6 @@ fn opts(store_dir: &std::path::Path) -> Options {
         quiet: true,
         only: None,
         list: false,
-        kernel: Default::default(),
         runtime: Default::default(),
         transport: Default::default(),
         store: Some(store_dir.to_str().expect("utf-8 temp path").to_string()),
@@ -85,6 +85,41 @@ fn warm_refine_reproduces_golden_map_with_fewer_live_runs() {
     assert_eq!(warm_row[col("live_trial_runs")], "0");
     assert_eq!(warm_row[col("store_trial_hits")], warm_row[col("trial_runs")]);
     assert_eq!(cold_row[col("store_trial_hits")], "0");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A damaged stream degrades to a live recompute instead of a panic:
+/// flip one byte in one stored e12 stream and the warm run still
+/// finishes with the cold run's CSVs, recomputing exactly that trial
+/// and rewriting its stream (a third run is fully warm again).
+#[test]
+fn damaged_stream_is_recomputed_live() {
+    let dir = std::env::temp_dir().join(format!("tg-store-damaged-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let cold = e12_refine::run(&opts(&dir));
+    let mut streams: Vec<_> = std::fs::read_dir(&dir)
+        .expect("store dir")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "tgs"))
+        .collect();
+    streams.sort();
+    let victim = &streams[0];
+    let mut bytes = std::fs::read(victim).expect("read stream");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x01;
+    std::fs::write(victim, &bytes).expect("write damaged stream");
+
+    let warm = e12_refine::run(&opts(&dir));
+    assert_eq!(warm.cells.to_csv(), cold.cells.to_csv());
+    assert_eq!(warm.frontier.to_csv(), cold.frontier.to_csv());
+    assert_eq!(warm.live_trial_runs, 1, "only the damaged trial recomputes");
+    assert_eq!(warm.cell_runs, cold.cell_runs, "replay walks the same trajectory");
+
+    let repaired = e12_refine::run(&opts(&dir));
+    assert_eq!(repaired.live_trial_runs, 0, "the recompute rewrote the damaged stream");
+    assert_eq!(repaired.cells.to_csv(), cold.cells.to_csv());
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -69,7 +69,7 @@ mod tests {
         params.attack_requests_per_id = 0;
         let mut prov = provider(400, 0.05);
         let mut sys =
-            DynamicSystem::new(params, GraphKind::D2B, BuildMode::DualGraph, &mut prov, 42);
+            DynamicSystem::new(params, GraphKind::D2B, BuildMode::DualGraph, &mut prov, 42, None);
         for _ in 0..3 {
             let r = sys.advance_epoch(&mut prov);
             assert!(

@@ -111,7 +111,7 @@ fn build_protocol(
             "the string protocol runs over the dual-graph construction only",
         ));
     }
-    let mut sys = FullSystem::new_with_kernel(
+    let mut sys = FullSystem::new(
         spec.params,
         spec.kind,
         PuzzleParams::calibrated(16, 2048),
@@ -120,8 +120,6 @@ fn build_protocol(
         spec.n_bad as f64,
         spec.idealized_good,
         spec.seed,
-        spec.kernel,
-        spec.capacity,
     );
     // `None` means honest: the statistical minting pipeline inside
     // `FullSystem` (no strategic provider to install).
@@ -137,7 +135,8 @@ fn build_protocol(
         sys = sys.with_frozen_strings();
     }
     sys.string_adversary = build_string_adversary(&spec.string_adversary);
-    sys.dynamics.set_searches_per_epoch(spec.searches);
+    sys.dynamics.searches_per_epoch = spec.searches;
+    sys.dynamics.capacity = spec.capacity;
     // Under the actor runtime the protocol phases (string dissemination,
     // membership announcement, routing probes) go over the spec's
     // network; the genesis build stays trusted bootstrap.
@@ -203,7 +202,7 @@ impl EpochDriver for FullDriver {
     fn step(&mut self) -> &EpochObservation {
         let late_before = self.net.as_ref().map(|n| n.stats().late);
         let r = self.sys.run_epoch_net(self.net.as_mut());
-        self.obs.fill_dynamic(&r.dynamics, self.sys.dynamics.graphs());
+        self.obs.fill_dynamic(&r.dynamics, self.sys.dynamics.graphs.view());
         self.obs.bad_ids = r.minted_bad;
         self.obs.bad_share = r.bad_share;
         self.obs.epoch_string = Some(r.epoch_string);
@@ -224,11 +223,11 @@ impl EpochDriver for FullDriver {
     }
 
     fn graphs(&self) -> GraphsView<'_> {
-        self.sys.dynamics.graphs()
+        self.sys.dynamics.graphs.view()
     }
 
     fn epoch(&self) -> u64 {
-        self.sys.dynamics.epoch()
+        self.sys.dynamics.epoch
     }
 
     fn batch(&self) -> &ObservationBatch {
@@ -286,7 +285,7 @@ mod tests {
                     strategy.build_strategy().unwrap(),
                 ));
             }
-            sys.dynamics.set_searches_per_epoch(spec.searches);
+            sys.dynamics.searches_per_epoch = spec.searches;
 
             for _ in 0..2 {
                 let r = sys.run_epoch();
@@ -326,6 +325,7 @@ mod tests {
             spec.mode,
             &mut provider,
             spec.seed,
+            None,
         );
         sys.searches_per_epoch = spec.searches;
 
@@ -472,7 +472,7 @@ mod tests {
             spec.seed,
         );
         sys.string_adversary = StringAdversary::ForcedRecords { strings: 4, release_frac: 0.5 };
-        sys.dynamics.set_searches_per_epoch(spec.searches);
+        sys.dynamics.searches_per_epoch = spec.searches;
 
         let mut diverged_from_clean = false;
         let mut clean = build(

@@ -32,7 +32,7 @@ use crate::puzzle::PuzzleParams;
 use crate::strings::{run_string_protocol, StringAdversary, StringOutcome, StringParams};
 use rand::rngs::StdRng;
 use tg_core::dynamic::{
-    AdversaryView, BuildMode, EpochIds, EpochKernel, EpochReport, IdentityProvider, KernelChoice,
+    AdversaryView, BuildMode, DynamicSystem, EpochIds, EpochReport, IdentityProvider,
     WithEpochString,
 };
 use tg_core::runtime::{EpochNet, NetFilter};
@@ -114,11 +114,8 @@ pub struct FullEpochReport {
 
 /// The composed system.
 pub struct FullSystem {
-    /// The §III dynamic layer (owns the operational group graphs),
-    /// behind the kernel dispatcher: the legacy per-group path or the
-    /// arena/SoA path, chosen at construction — identical epochs either
-    /// way.
-    pub dynamics: EpochKernel,
+    /// The §III dynamic layer (owns the operational group graphs).
+    pub dynamics: DynamicSystem,
     /// Puzzle difficulty/rate parameters.
     pub puzzle: PuzzleParams,
     /// String-protocol parameters.
@@ -160,49 +157,18 @@ impl FullSystem {
         idealized_good: bool,
         master_seed: u64,
     ) -> Self {
-        Self::new_with_kernel(
-            params,
-            kind,
-            puzzle,
-            string_params,
-            n_good,
-            adversary_units,
-            idealized_good,
-            master_seed,
-            KernelChoice::Legacy,
-            None,
-        )
-    }
-
-    /// [`FullSystem::new`] with an explicit epoch kernel and arena
-    /// capacity hint (how `tg_pow::scenario` applies the spec's scale
-    /// knobs to the full protocol).
-    #[allow(clippy::too_many_arguments)]
-    pub fn new_with_kernel(
-        params: Params,
-        kind: GraphKind,
-        puzzle: PuzzleParams,
-        string_params: StringParams,
-        n_good: usize,
-        adversary_units: f64,
-        idealized_good: bool,
-        master_seed: u64,
-        kernel: KernelChoice,
-        capacity: Option<usize>,
-    ) -> Self {
         let sim = MintingSim { params: puzzle, n_good, adversary_units, idealized_good };
         let mut rng = stream_rng(master_seed, "full-init-mint", 0);
         let minted = sim.run_window(&mut rng);
         let mut provider =
             PreMinted { ids: Some(EpochIds { good: minted.good_ids, bad: minted.bad_ids }) };
-        let dynamics = EpochKernel::new(
-            kernel,
+        let dynamics = DynamicSystem::new(
             params,
             kind,
             BuildMode::DualGraph,
             &mut provider,
             master_seed,
-            capacity,
+            None,
         );
         FullSystem {
             dynamics,
@@ -268,12 +234,12 @@ impl FullSystem {
     /// `net: None` (or a perfect transport) reproduces the synchronous
     /// [`FullSystem::run_epoch`] byte-identically.
     pub fn run_epoch_net(&mut self, mut net: Option<&mut EpochNet>) -> FullEpochReport {
-        let epoch = self.dynamics.epoch();
+        let epoch = self.dynamics.epoch;
 
         // 1. Agree on the next epoch string over the operational graph.
         let mut srng = stream_rng(self.master_seed, "full-strings", epoch);
         let strings = {
-            let side0 = self.dynamics.graphs().side(0);
+            let side0 = self.dynamics.graphs.side(0);
             run_string_protocol(&side0, &self.string_params, self.string_adversary, &mut srng)
         };
         let pairs = (strings.giant_size as u64).pow(2);
@@ -352,7 +318,7 @@ impl FullSystem {
         // Routing probes: scale measured search success by the fraction
         // of probe chains the network completed.
         if let Some(n) = net {
-            let f = n.probe_phase(dynamics.epoch, self.dynamics.searches_per_epoch());
+            let f = n.probe_phase(dynamics.epoch, self.dynamics.searches_per_epoch);
             if f < 1.0 {
                 dynamics.search_success_single *= f;
                 dynamics.search_success_dual *= f;
@@ -393,7 +359,7 @@ mod tests {
             true,
             seed,
         );
-        sys.dynamics.set_searches_per_epoch(200);
+        sys.dynamics.searches_per_epoch = 200;
         sys
     }
 
@@ -483,7 +449,7 @@ mod tests {
             scheme,
             Box::new(tg_core::dynamic::GapFilling),
         ));
-        sys.dynamics.set_searches_per_epoch(200);
+        sys.dynamics.searches_per_epoch = 200;
         sys
     }
 
@@ -540,7 +506,7 @@ mod tests {
             if frozen {
                 sys = sys.with_frozen_strings();
             }
-            sys.dynamics.set_searches_per_epoch(200);
+            sys.dynamics.searches_per_epoch = 200;
             (0..4).map(|_| sys.run_epoch().minted_bad).collect()
         };
         let fresh = minted_bad(false);
@@ -583,7 +549,7 @@ mod tests {
                 MintScheme::SingleHash,
                 Box::new(tg_core::dynamic::ChurnTimed::default()),
             ));
-            sys.dynamics.set_searches_per_epoch(100);
+            sys.dynamics.searches_per_epoch = 100;
             (0..2).map(|_| sys.run_epoch()).map(|r| (r.minted_bad, r.bad_share)).last().unwrap()
         };
         let (quiet_bad, quiet_share) = run(0.05);

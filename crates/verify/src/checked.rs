@@ -123,7 +123,7 @@ impl EpochDriver for CheckedDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tg_core::scenario::{Defense, KernelChoice, MintScheme, StrategySpec};
+    use tg_core::scenario::{Defense, MintScheme, StrategySpec};
 
     fn spec() -> ScenarioSpec {
         ScenarioSpec::new(60, 42).searches(40)
@@ -162,13 +162,6 @@ mod tests {
                 assert_eq!(d.violations(), &[], "violations under `{}`", d.spec().label());
             }
         }
-    }
-
-    #[test]
-    fn arena_kernel_replays_clean_too() {
-        let spec = spec().kernel(KernelChoice::Arena).strategy(StrategySpec::GapFilling);
-        let mut d = CheckedDriver::build(&spec).expect("build").strict();
-        d.run(4);
     }
 
     #[test]

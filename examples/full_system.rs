@@ -30,7 +30,7 @@ fn main() {
         2026,
     );
     sys.string_adversary = StringAdversary::ForcedRecords { strings: 4, release_frac: 0.49 };
-    sys.dynamics.set_searches_per_epoch(400);
+    sys.dynamics.searches_per_epoch = 400;
 
     println!("epoch  string      agree  minted(good/bad)  red%   search(dual)");
     for _ in 0..6 {

@@ -38,7 +38,7 @@ fn run_reports(master_seed: u64) -> String {
         MintScheme::SingleHash,
         Box::new(GapFilling),
     ));
-    sys.dynamics.set_searches_per_epoch(150);
+    sys.dynamics.searches_per_epoch = 150;
     let mut out = String::new();
     for _ in 0..3 {
         out.push_str(&format!("{:#?}\n", sys.run_epoch()));

@@ -86,7 +86,7 @@ fn full_system_invariants_hold_jointly() {
         65,
     );
     sys.string_adversary = StringAdversary::ForcedRecords { strings: 3, release_frac: 0.49 };
-    sys.dynamics.set_searches_per_epoch(150);
+    sys.dynamics.searches_per_epoch = 150;
     let mut seen_strings = std::collections::HashSet::new();
     for _ in 0..3 {
         let r = sys.run_epoch();

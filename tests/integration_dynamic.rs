@@ -7,7 +7,7 @@ use tiny_groups::core::dynamic::{
     AdversaryView, BuildMode, DynamicSystem, GapFilling, IdentityProvider, IntervalTargeting,
     StrategicProvider, Uniform, UniformProvider,
 };
-use tiny_groups::core::{build_initial_graph, Params, Population};
+use tiny_groups::core::{build_initial_graph, GroupGraphView, Params, Population};
 use tiny_groups::crypto::OracleFamily;
 use tiny_groups::idspace::Id;
 use tiny_groups::overlay::GraphKind;
@@ -38,6 +38,7 @@ fn full_stack_pow_dynamics_stay_robust() {
         BuildMode::DualGraph,
         &mut provider,
         17,
+        None,
     );
     sys.searches_per_epoch = 300;
     for _ in 0..5 {
@@ -139,6 +140,7 @@ fn strategies_compose_with_both_identity_pipelines() {
             BuildMode::DualGraph,
             provider.as_mut(),
             37,
+            None,
         );
         sys.searches_per_epoch = 100;
         let mut captured = 0usize;
@@ -146,8 +148,9 @@ fn strategies_compose_with_both_identity_pipelines() {
             sys.advance_epoch(provider.as_mut());
             captured += sys
                 .graphs
+                .view()
                 .iter()
-                .map(|g| g.groups.iter().filter(|gr| !gr.has_good_majority(&g.pool)).count())
+                .map(|g| (0..g.len()).filter(|&i| !g.has_good_majority(i)).count())
                 .sum::<usize>();
         }
         captured
@@ -186,7 +189,7 @@ fn single_graph_ablation_never_beats_dual() {
     let final_red = |mode: BuildMode| -> f64 {
         let mut provider = UniformProvider { n_good: 760, n_bad: 40 };
         let mut sys =
-            DynamicSystem::new(stable_params(), GraphKind::Chord, mode, &mut provider, 31);
+            DynamicSystem::new(stable_params(), GraphKind::Chord, mode, &mut provider, 31, None);
         sys.searches_per_epoch = 150;
         let mut red = 0.0;
         for _ in 0..5 {

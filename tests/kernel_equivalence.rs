@@ -1,56 +1,39 @@
-//! Kernel-equivalence suite: the arena/SoA epoch kernel and the legacy
-//! per-group kernel are **observation-identical** — same spec, same
-//! seed, same epoch-by-epoch `EpochObservation`, byte for byte — across
-//! every defense arm and placement strategy the scenario API can
-//! express.
+//! Runtime-equivalence suite for the epoch kernel: the synchronous
+//! driver and the actor runtime over its (perfect by default) transport
+//! are **observation-identical** — same spec, same seed, same
+//! epoch-by-epoch `EpochObservation`, byte for byte — across every
+//! defense arm and placement strategy the scenario API can express, and
+//! a faulty actor run is identical at any thread count.
 //!
-//! The legacy kernel is the conformance oracle: it predates the arena
-//! and produced the committed golden corpus. These tests pin that
-//! swapping `kernel=arena` into any spec changes wall clock and memory
-//! layout, never results. (The corpus-level half of this statement —
-//! committed seed-42 CSVs replaying byte-identically through the arena
-//! kernel — lives in `crates/experiments/tests/golden_arena.rs`.)
+//! The corpus-level half of this statement — the committed seed-42
+//! CSVs replaying byte-identically in every runtime and transport —
+//! lives in `crates/experiments/tests/golden.rs`.
 
 use proptest::prelude::*;
 use tiny_groups::core::runtime::RuntimeChoice;
-use tiny_groups::core::scenario::{
-    Defense, KernelChoice, MintScheme, ScenarioSpec, StrategySpec, StringMode,
-};
+use tiny_groups::core::scenario::{Defense, MintScheme, ScenarioSpec, StrategySpec, StringMode};
 use tiny_groups::overlay::GraphKind;
 use tiny_groups::pow::scenario::build;
 
-/// Step every kernel × runtime combination over the same spec and
+/// Step the synchronous and the actor runtime over the same spec and
 /// require Debug-identical observations every epoch (the full report:
 /// fractions, search rates, build stats, minting counters — everything
-/// the systems can observe). The legacy synchronous driver is the
-/// oracle; the arena kernel and the actor runtime over its (perfect by
-/// default) transport must both reproduce it byte for byte.
-fn assert_kernels_agree(spec: &ScenarioSpec, epochs: usize) {
-    let arms = [
-        ("legacy/sync", KernelChoice::Legacy, RuntimeChoice::Sync),
-        ("arena/sync", KernelChoice::Arena, RuntimeChoice::Sync),
-        ("legacy/actor", KernelChoice::Legacy, RuntimeChoice::Actor),
-        ("arena/actor", KernelChoice::Arena, RuntimeChoice::Actor),
-    ];
-    let mut drivers: Vec<_> = arms
-        .iter()
-        .map(|&(name, kernel, runtime)| {
-            let arm = spec.clone().kernel(kernel).runtime(runtime);
-            (name, build(&arm).unwrap_or_else(|e| panic!("{name} spec builds: {e:?}")))
-        })
-        .collect();
+/// the systems can observe). The synchronous driver is the oracle; the
+/// actor runtime over its (perfect by default) transport must reproduce
+/// it byte for byte.
+fn assert_runtimes_agree(spec: &ScenarioSpec, epochs: usize) {
+    let [mut sync, mut actor] = [RuntimeChoice::Sync, RuntimeChoice::Actor].map(|runtime| {
+        let arm = spec.clone().runtime(runtime);
+        build(&arm).unwrap_or_else(|e| panic!("{} spec builds: {e:?}", runtime.label()))
+    });
     for e in 0..epochs {
-        let (oracle, rest) = drivers.split_first_mut().expect("at least the oracle arm");
-        let want = format!("{:?}", oracle.1.step());
-        for (name, driver) in rest {
-            assert_eq!(
-                format!("{:?}", driver.step()),
-                want,
-                "{name} diverged from {} at epoch {e} of {}",
-                oracle.0,
-                spec.label()
-            );
-        }
+        let want = format!("{:?}", sync.step());
+        assert_eq!(
+            format!("{:?}", actor.step()),
+            want,
+            "actor diverged from sync at epoch {e} of {}",
+            spec.label()
+        );
     }
 }
 
@@ -59,7 +42,7 @@ fn assert_kernels_agree(spec: &ScenarioSpec, epochs: usize) {
 /// (The hoarder under no-PoW degrades to uniform placement — still a
 /// buildable, comparable arm.)
 #[test]
-fn all_defenses_and_strategies_agree_across_kernels() {
+fn all_defenses_and_strategies_agree_across_runtimes() {
     let defenses = [
         Defense::NoPow,
         Defense::Pow { scheme: MintScheme::SingleHash, fresh_strings: true },
@@ -84,7 +67,7 @@ fn all_defenses_and_strategies_agree_across_kernels() {
                 .searches(40)
                 .defense(defense)
                 .strategy(strategy);
-            assert_kernels_agree(&spec, 1);
+            assert_runtimes_agree(&spec, 1);
         }
     }
 }
@@ -94,9 +77,9 @@ proptest! {
 
     /// Random small-n specs over the full categorical product (defense
     /// × strategy × topology × string mode), random β/churn/seed: the
-    /// kernels stay Debug-identical for two epochs.
+    /// runtimes stay Debug-identical for two epochs.
     #[test]
-    fn random_specs_agree_across_kernels(
+    fn random_specs_agree_across_runtimes(
         seed in any::<u64>(),
         n_good in 180usize..340,
         beta_pct in 4u32..16,
@@ -138,7 +121,7 @@ proptest! {
             // The capacity hint shapes allocation only, never results.
             spec = spec.capacity(c);
         }
-        assert_kernels_agree(&spec, 2);
+        assert_runtimes_agree(&spec, 2);
     }
 }
 

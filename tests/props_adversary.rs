@@ -64,15 +64,14 @@ fn heavy_churn_system() -> &'static DynamicSystem {
             BuildMode::DualGraph,
             &mut provider,
             911,
+            None,
         );
-        for g in sys.graphs.iter_mut() {
-            let good = g.pool.good_indices();
-            let departing = (good.len() as f64 * 0.3).round() as usize;
-            for &i in good.iter().take(departing) {
-                g.pool.mark_departed(i);
-            }
-            g.recolor();
+        let good = sys.graphs.pool.good_indices();
+        let departing = (good.len() as f64 * 0.3).round() as usize;
+        for &i in good.iter().take(departing) {
+            sys.graphs.pool.mark_departed(i);
         }
+        sys.graphs.recolor();
         sys
     })
 }
@@ -143,8 +142,7 @@ proptest! {
     ) {
         let good = census(n_sel, seed);
         let heavy = heavy_churn_system();
-        let strike_view =
-            AdversaryView { epoch: 2, graphs: tiny_groups::core::GraphsView::Legacy(&heavy.graphs), epoch_string: None };
+        let strike_view = AdversaryView { epoch: 2, graphs: heavy.graphs.view(), epoch_string: None };
         for (view, label) in [(AdversaryView::genesis(0), "quiet"), (strike_view, "strike")] {
             let mut s = ChurnTimed::default();
             let mut rng = StdRng::seed_from_u64(seed ^ 0xC4);
@@ -176,7 +174,7 @@ proptest! {
         let heavy = heavy_churn_system();
         for view in [
             AdversaryView::genesis(0),
-            AdversaryView { epoch: 2, graphs: tiny_groups::core::GraphsView::Legacy(&heavy.graphs), epoch_string: None },
+            AdversaryView { epoch: 2, graphs: heavy.graphs.view(), epoch_string: None },
         ] {
             let run = || {
                 let mut s = ChurnTimed::default();
