@@ -44,7 +44,7 @@
 //! — and returns [`ScenarioError::NeedsPowLayer`] for specs that require
 //! the minting pipeline. `tg_pow::scenario::build` is the **total**
 //! builder: it accepts every spec, delegating the core-only ones here.
-//! Consumers that link `tg-pow` (the experiments, benches, examples)
+//! Consumers that link `tg-pow` (the experiments, perfbench, examples)
 //! should always use the total builder.
 //!
 //! ## Relation to the frontier cell key
@@ -279,17 +279,15 @@ impl StrategySpec {
             "honest" => StrategySpec::Honest,
             "uniform" => StrategySpec::Uniform,
             "gap-filling" => StrategySpec::GapFilling,
-            "interval-targeting" => StrategySpec::IntervalTargeting {
-                victim: arg()?.parse().ok()?,
-                width: arg()?.parse().ok()?,
-            },
+            "interval-targeting" => {
+                StrategySpec::IntervalTargeting { victim: finite(arg()?)?, width: finite(arg()?)? }
+            }
             "adaptive-majority-flipper" => {
                 StrategySpec::AdaptiveMajorityFlipper { margin: arg()?.parse().ok()? }
             }
-            "churn-timed" => StrategySpec::ChurnTimed {
-                trigger: arg()?.parse().ok()?,
-                retainer: arg()?.parse().ok()?,
-            },
+            "churn-timed" => {
+                StrategySpec::ChurnTimed { trigger: finite(arg()?)?, retainer: finite(arg()?)? }
+            }
             "precompute-hoarder" => StrategySpec::PrecomputeHoarder {
                 fam_seed: arg()?.parse().ok()?,
                 attempts: arg()?.parse().ok()?,
@@ -378,12 +376,12 @@ impl StringAdversarySpec {
             "none" => StringAdversarySpec::None,
             "delayed" => StringAdversarySpec::DelayedRelease {
                 strings: arg()?.parse().ok()?,
-                release_frac: arg()?.parse().ok()?,
-                units: arg()?.parse().ok()?,
+                release_frac: finite(arg()?)?,
+                units: finite(arg()?)?,
             },
             "records" => StringAdversarySpec::ForcedRecords {
                 strings: arg()?.parse().ok()?,
-                release_frac: arg()?.parse().ok()?,
+                release_frac: finite(arg()?)?,
             },
             _ => return None,
         };
@@ -743,6 +741,13 @@ impl std::error::Error for ScenarioError {}
 /// silently misreading old keys.
 const CODEC_VERSION: &str = "tg1";
 
+/// Decode one real-valued codec number. `NaN` and the infinities are
+/// rejected: `NaN != NaN`, so a spec holding one would not equal its own
+/// reparsed label, and no axis has a meaning at infinity.
+fn finite(s: &str) -> Option<f64> {
+    s.parse::<f64>().ok().filter(|x| x.is_finite())
+}
+
 fn encode_rule(rule: GroupSizeRule) -> String {
     match rule {
         GroupSizeRule::TinyLogLog => "loglog".to_string(),
@@ -756,7 +761,7 @@ fn decode_rule(s: &str) -> Option<GroupSizeRule> {
         return Some(GroupSizeRule::TinyLogLog);
     }
     if let Some(c) = s.strip_prefix("log:") {
-        return Some(GroupSizeRule::ClassicLog { c: c.parse().ok()? });
+        return Some(GroupSizeRule::ClassicLog { c: finite(c)? });
     }
     if let Some(k) = s.strip_prefix("fixed:") {
         return Some(GroupSizeRule::Fixed(k.parse().ok()?));
@@ -886,7 +891,7 @@ impl ScenarioSpec {
             Ok(&first.1)
         };
         let num = |key: &str| -> Result<f64, ScenarioError> {
-            get(key)?.parse().map_err(|_| err(&format!("field `{key}` is not a number")))
+            finite(get(key)?).ok_or_else(|| err(&format!("field `{key}` is not a finite number")))
         };
         let int = |key: &str| -> Result<u64, ScenarioError> {
             get(key)?.parse().map_err(|_| err(&format!("field `{key}` is not an integer")))
@@ -921,7 +926,8 @@ impl ScenarioSpec {
         };
         let mut faults = FaultPlan::default();
         if let Some(v) = opt("drop")? {
-            faults.drop_rate = v.parse().map_err(|_| err("field `drop` is not a number"))?;
+            faults.drop_rate =
+                finite(v).ok_or_else(|| err("field `drop` is not a finite number"))?;
             if !(0.0..=1.0).contains(&faults.drop_rate) {
                 return Err(err("field `drop` is not a probability"));
             }

@@ -386,6 +386,145 @@ rule=loglog;churn=0.1;attack=0;retries=2;kernel=arena;cap=10000";
     assert_eq!(spec.label(), label.replace(";kernel=arena", ""));
 }
 
+/// A valid spec whose label carries every real-valued codec field: a
+/// parameterized strategy (`tag` picks interval-targeting or
+/// churn-timed), the `log:c` rule, a drop rate and a delayed-release
+/// string adversary.
+fn all_reals_spec(n_good: usize, seed: u64, a: f64, b: f64, tag: u8) -> ScenarioSpec {
+    let mut spec = ScenarioSpec::new(n_good, seed)
+        .beta(a * 0.4)
+        .churn(b * 0.4)
+        .strategy(strategy(3 + 2 * (tag % 2), a, b, 0))
+        .drop_rate(a.max(1e-3))
+        .string_adversary(string_adversary(1, b, 3));
+    spec.params.size_rule = rule(1, 0.5 + b, 0);
+    spec
+}
+
+/// Every real-valued slot of an [`all_reals_spec`] label: the field's
+/// key and the index of the real among its `:`-separated parts.
+const REAL_SLOTS: [(&str, usize); 11] = [
+    ("beta", 0),
+    ("delta", 0),
+    ("d1", 0),
+    ("d2", 0),
+    ("churn", 0),
+    ("drop", 0),
+    ("rule", 1),
+    ("strategy", 1),
+    ("strategy", 2),
+    ("stradv", 2),
+    ("stradv", 3),
+];
+
+/// `label` with part `index` of field `key`'s value replaced by `with`,
+/// or `None` if the label has no such part.
+fn splice(label: &str, key: &str, index: usize, with: &str) -> Option<String> {
+    let mut fields: Vec<String> = label.split(';').map(str::to_string).collect();
+    let field = fields.iter_mut().find(|f| f.split_once('=').is_some_and(|(k, _)| k == key))?;
+    let mut parts: Vec<&str> = field[key.len() + 1..].split(':').collect();
+    *parts.get_mut(index)? = with;
+    *field = format!("{key}={}", parts.join(":"));
+    Some(fields.join(";"))
+}
+
+/// The flat JSON form of a (possibly hand-edited) label, every value
+/// quoted.
+fn json_of_label(label: &str) -> String {
+    let fields = label.split(';').skip(1).filter_map(|field| field.split_once('='));
+    let body: Vec<String> = std::iter::once(("codec", "tg1"))
+        .chain(fields)
+        .map(|(k, v)| format!("\"{k}\": \"{v}\""))
+        .collect();
+    format!("{{{}}}", body.join(", "))
+}
+
+/// `text` after 1–4 random edits — overwrite a byte with any byte,
+/// insert a codec fragment, or delete a short run — decoded lossily.
+fn mutate(text: &str, seed: u64) -> String {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    let fragments: Vec<&str> =
+        "; = : , \" { } . - e NaN inf 1e400 -0 log: kernel=arena".split(' ').collect();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut bytes = text.as_bytes().to_vec();
+    for _ in 0..rng.gen_range(1..5) {
+        let at = rng.gen_range(0..bytes.len() + 1);
+        match rng.gen_range(0..3) {
+            0 if at < bytes.len() => bytes[at] = rng.gen(),
+            1 => drop(bytes.splice(at..at, fragments[rng.gen_range(0..fragments.len())].bytes())),
+            _ => drop(bytes.drain(at..(at + rng.gen_range(0..6usize)).min(bytes.len()))),
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// The decoders are total: arbitrary bytes and mutated labels, JSON
+    /// forms and observation lines return `Ok` or `Err` without
+    /// panicking, and every spec they accept round-trips through both
+    /// forms.
+    #[test]
+    fn decoders_are_total_and_accepted_specs_round_trip(
+        raw in proptest::collection::vec(any::<u8>(), 0..96),
+        n_good in 1usize..10_000,
+        seed in any::<u64>(),
+        a in 0.0f64..1.0,
+        b in 0.0f64..1.0,
+        tag in any::<u8>(),
+    ) {
+        use tg_core::scenario::{EpochObservation, ObsRow};
+        let spec = all_reals_spec(n_good, seed, a, b, tag);
+        let raw = String::from_utf8_lossy(&raw).into_owned();
+        let accepted = [
+            ScenarioSpec::parse(&raw),
+            ScenarioSpec::parse(&mutate(&spec.label(), seed)),
+            ScenarioSpec::from_json(&raw),
+            ScenarioSpec::from_json(&mutate(&spec.to_json(), seed)),
+        ];
+        for parsed in accepted.into_iter().flatten() {
+            prop_assert_eq!(ScenarioSpec::parse(&parsed.label()), Ok(parsed.clone()));
+            prop_assert_eq!(ScenarioSpec::from_json(&parsed.to_json()), Ok(parsed.clone()));
+        }
+        let obs = EpochObservation { epoch: seed, frac_red: vec![a], ..Default::default() };
+        let _ = ObsRow::decode_line(&raw);
+        let _ = ObsRow::decode_line(&mutate(&ObsRow::of(&obs).encode_line(), seed));
+    }
+
+    /// `NaN`, `inf` and `-inf` spliced into any real-valued field of a
+    /// valid label (including the numbers inside `rule=`, `strategy=`
+    /// and `stradv=`) are rejected through both codec forms, with a
+    /// parse error that names the field.
+    #[test]
+    fn non_finite_reals_are_rejected(
+        n_good in 1usize..10_000,
+        seed in any::<u64>(),
+        a in 0.0f64..1.0,
+        b in 0.0f64..1.0,
+        tag in any::<u8>(),
+    ) {
+        let spec = all_reals_spec(n_good, seed, a, b, tag);
+        let label = spec.label();
+        prop_assert_eq!(ScenarioSpec::parse(&label), Ok(spec.clone()));
+        for (key, index) in REAL_SLOTS {
+            for bad in ["NaN", "inf", "-inf", "+infinity", "1e400"] {
+                let poisoned = splice(&label, key, index, bad).expect("every real slot exists");
+                let json = json_of_label(&poisoned);
+                for parsed in [ScenarioSpec::parse(&poisoned), ScenarioSpec::from_json(&json)] {
+                    prop_assert!(
+                        matches!(&parsed, Err(ScenarioError::Parse(msg)) if msg.contains(key)),
+                        "{} in `{}`: {:?}",
+                        bad,
+                        key,
+                        parsed
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// One shared store for the observation round-trip cases (a fresh
 /// directory per test process; keys are unique per case).
 fn prop_store() -> &'static tg_sim::ResultStore {

@@ -1,7 +1,8 @@
 //! Run every experiment with the given options — regenerates all the
-//! tables and figures recorded in EXPERIMENTS.md. The execution order,
-//! the `--list` output, and the `--only` validation all come from one
-//! place: [`tg_experiments::exp::REGISTRY`].
+//! tables and figures of the experiment index in the `tg_experiments`
+//! crate docs. The execution order, the `--list` output, and the
+//! `--only` validation all come from one place:
+//! [`tg_experiments::exp::REGISTRY`].
 //!
 //! * `--list` — print the registry (name + one-line description) and
 //!   exit 0,

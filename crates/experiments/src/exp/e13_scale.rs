@@ -11,12 +11,6 @@
 //! wall time is not a measurement. Quick mode climbs to 5·10³
 //! identities so the CI smoke step stays in seconds; `--full` climbs to
 //! the titular 10⁶-identity rung.
-//!
-//! Besides the CSV table, the run serializes the largest rung as
-//! `BENCH_kernel.json` in the output directory — the machine-readable
-//! record the bench-trajectory CI step archives and diffs (the
-//! `wall_ms_per_cell_run` key is the shared trajectory convention; for
-//! this record one "cell-run" is one simulated epoch).
 
 use std::time::Instant;
 
@@ -126,48 +120,7 @@ pub fn measure(rungs: &[Rung], seed: u64, check_invariants: bool) -> Vec<RungRes
         .collect()
 }
 
-/// Serialize one rung as the `BENCH_kernel.json` trajectory record.
-/// Flat hand-rolled JSON in the workspace's `BENCH_*.json` dialect:
-/// `wall_ms_per_cell_run` is the key the trajectory comparator diffs
-/// (one cell-run ≙ one epoch here), the throughput fields are the
-/// headline numbers the ISSUE records.
-pub fn kernel_record_json(mode: &str, r: &RungResult, unix_time: u64) -> String {
-    format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"e13_scale\",\n",
-            "  \"mode\": \"{}\",\n",
-            "  \"kernel\": \"arena\",\n",
-            "  \"n_identities\": {},\n",
-            "  \"epochs\": {},\n",
-            "  \"build_ms\": {:.3},\n",
-            "  \"wall_ms\": {:.3},\n",
-            "  \"wall_ms_per_cell_run\": {:.3},\n",
-            "  \"epochs_per_sec\": {:.3},\n",
-            "  \"identities_per_sec\": {:.1},\n",
-            "  \"unix_time\": {}\n",
-            "}}\n"
-        ),
-        mode,
-        r.rung.n_total(),
-        r.rung.epochs,
-        r.build_ms,
-        r.wall_ms,
-        r.ms_per_epoch(),
-        r.epochs_per_sec(),
-        r.identities_per_sec(),
-        unix_time,
-    )
-}
-
-/// The record rung: the largest rung of the ladder (the 10⁶-identity
-/// rung at `--full` scale).
-pub fn record_rung(results: &[RungResult]) -> Option<&RungResult> {
-    results.iter().max_by_key(|r| r.rung.n_total())
-}
-
-/// Run E13: time the ladder, write `BENCH_kernel.json` next to the
-/// CSVs, and return the throughput table.
+/// Run E13: time the ladder and return the throughput table.
 pub fn run(opts: &Options) -> Table {
     let results = measure(&rungs(opts), opts.seed, opts.check_invariants);
     let mut table = Table::new(
@@ -192,31 +145,6 @@ pub fn run(opts: &Options) -> Table {
             f(r.epochs_per_sec()),
             f(r.identities_per_sec()),
         ]);
-    }
-    if let Some(best) = record_rung(&results) {
-        let unix = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0);
-        let mode = if opts.full { "full" } else { "quick" };
-        let json = kernel_record_json(mode, best, unix);
-        match std::fs::create_dir_all(&opts.out_dir) {
-            Ok(()) => {
-                let path = std::path::Path::new(&opts.out_dir).join("BENCH_kernel.json");
-                match tg_sim::store::write_atomic(&path, json.as_bytes()) {
-                    Ok(()) => {
-                        if !opts.quiet {
-                            println!("wrote {}", path.display());
-                        }
-                    }
-                    Err(e) => crate::artifacts::note_dropped("BENCH_kernel.json", &e),
-                }
-            }
-            // The old `if create_dir_all(...).is_ok()` silently skipped
-            // the record; a missing out-dir now counts as a dropped
-            // artifact so `run_all` exits non-zero.
-            Err(e) => crate::artifacts::note_dropped("BENCH_kernel.json", &e),
-        }
     }
     table
 }
@@ -243,47 +171,6 @@ mod tests {
         let ladder = rungs(&opts(true));
         let top = ladder.iter().max_by_key(|r| r.n_total()).expect("non-empty ladder");
         assert_eq!(top.n_total(), 1_000_000);
-    }
-
-    /// The trajectory record carries the shared comparator key plus the
-    /// throughput fields, and picks the largest rung.
-    #[test]
-    fn kernel_record_has_trajectory_keys() {
-        let results = vec![
-            RungResult {
-                rung: Rung { kernel: KernelChoice::Arena, n_good: 9_500, epochs: 2 },
-                build_ms: 10.0,
-                wall_ms: 50.0,
-            },
-            RungResult {
-                rung: Rung { kernel: KernelChoice::Arena, n_good: 950_000, epochs: 2 },
-                build_ms: 100.0,
-                wall_ms: 400.0,
-            },
-            RungResult {
-                rung: Rung { kernel: KernelChoice::Arena, n_good: 95_000, epochs: 2 },
-                build_ms: 8.0,
-                wall_ms: 30.0,
-            },
-        ];
-        let best = record_rung(&results).expect("non-empty ladder");
-        assert_eq!(best.rung.n_total(), 1_000_000);
-        let json = kernel_record_json("full", best, 1_700_000_000);
-        for key in [
-            "\"bench\": \"e13_scale\"",
-            "\"mode\": \"full\"",
-            "\"kernel\": \"arena\"",
-            "\"n_identities\": 1000000",
-            "\"epochs\": 2",
-            "\"wall_ms\": 400.000",
-            "\"wall_ms_per_cell_run\": 200.000",
-            "\"epochs_per_sec\": 5.000",
-            "\"identities_per_sec\": 5000000.0",
-            "\"unix_time\": 1700000000",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
-        assert!(json.starts_with('{') && json.ends_with("}\n"), "one flat JSON object");
     }
 
     /// A miniature rung actually runs through the measurement path and

@@ -1,4 +1,5 @@
-//! Experiment implementations (one module per DESIGN.md §5 entry), and
+//! Experiment implementations (one module per row of the crate-level
+//! experiment index), and
 //! the [`REGISTRY`] the `run_all` binary drives them through.
 
 pub mod e10_adversaries;

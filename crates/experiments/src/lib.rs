@@ -1,10 +1,10 @@
 //! # tg-experiments
 //!
 //! The harness that regenerates every quantitative claim of the paper —
-//! the experiment index of `DESIGN.md` §5 and the paper-vs-measured
-//! record in `EXPERIMENTS.md`. Each experiment is a library function
-//! returning a [`table::Table`] (so integration tests and benches can
-//! drive them) plus a thin binary under `src/bin/` that parses CLI
+//! the experiment index below, run as the README's "Running experiments"
+//! section describes. Each experiment is a library function returning a
+//! [`table::Table`] (so integration tests and the benchmark can drive
+//! them) plus a thin binary under `src/bin/` that parses CLI
 //! options, prints the table, and writes CSV under `results/`.
 //!
 //! | Binary | Claim reproduced |

@@ -182,8 +182,7 @@ fn e12_refine_smoke() {
 }
 
 /// E13 acceptance shape (quick rungs): every rung reports positive
-/// throughput, and the machine-readable trajectory record lands next to
-/// the CSV with the shared comparator key.
+/// throughput.
 #[test]
 fn e13_scale_smoke() {
     let opts = smoke_opts("e13");
@@ -193,10 +192,6 @@ fn e13_scale_smoke() {
         let rate: f64 = row[6].parse().expect("identities_per_sec is numeric");
         assert!(rate > 0.0, "non-positive throughput in {row:?}");
     }
-    let record = std::path::Path::new(&opts.out_dir).join("BENCH_kernel.json");
-    let json = std::fs::read_to_string(&record).expect("BENCH_kernel.json written");
-    assert!(json.contains("\"wall_ms_per_cell_run\""), "trajectory key missing: {json}");
-    assert!(json.contains("\"kernel\": \"arena\""), "record pins the arena kernel: {json}");
     check(&table, &opts);
 }
 

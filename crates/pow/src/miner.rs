@@ -10,7 +10,8 @@
 //!   is uniform), so the statistical mode is a faithful shortcut, not an
 //!   approximation — it just skips grinding hashes.
 //!
-//! The good-ID caveat (documented in DESIGN.md §3 and measured in E6):
+//! The good-ID caveat (the paper's §IV-A idealization, measured by the
+//! E6 experiment, `e6_pow`):
 //! with one expected solution per unit per window, an individual good
 //! participant *misses* the window with probability `≈ 1/e`. The paper
 //! idealizes this ("(1±ε)T/2 steps required w.h.p."); `MintingSim`

@@ -13,7 +13,8 @@
 //! * Verification recomputes the two hashes. The paper uses a
 //!   zero-knowledge proof \[25\] so the verifier cannot steal `σ`; we model
 //!   that confidentiality structurally (verification never exposes `σ`
-//!   to other simulated parties — see DESIGN.md §3).
+//!   to other simulated parties — the stand-in for §IV-A's
+//!   zero-knowledge proof).
 
 use tg_crypto::OracleFamily;
 use tg_idspace::Id;

@@ -5,8 +5,10 @@
 //! All of the paper's claims are probabilistic statements about message
 //! counts, state sizes, and failure fractions — not wall-clock latency —
 //! so the faithful substrate is a **seeded, synchronous-round simulator**
-//! with exact accounting, rather than an async network runtime (see
-//! DESIGN.md §3 for the substitution rationale). This crate provides:
+//! with exact accounting, rather than an async network runtime. The
+//! README's "Runtime: synchronous epochs vs actor message passing (E14)"
+//! section covers the message-passing runtime layered on top and why the
+//! synchronous step stays the oracle. This crate provides:
 //!
 //! * [`rng`] — disciplined seed derivation: every component draws its
 //!   randomness from a labelled stream of a single master seed, so whole

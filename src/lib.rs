@@ -5,8 +5,9 @@
 //! Young, Zhou — IPDPS 2018).
 //!
 //! Re-exports the subsystem crates under stable names. See the workspace
-//! `README.md` for the architecture overview and `DESIGN.md` for the
-//! system inventory and experiment index.
+//! `README.md`: "Crate map" for the system inventory, "Architecture: the
+//! scenario API" for the overview and "Running experiments" for the
+//! experiment index.
 
 pub use tg_ba as ba;
 pub use tg_baselines as baselines;
